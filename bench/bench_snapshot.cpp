@@ -14,8 +14,11 @@
 // (allocator pages and CRC tables are process-lifetime state; see the
 // BENCH_6.json note on cold first runs).
 //
-// Gate: median save+restore < 5% of the median end-to-end workload wall
-// time (exit 1 past the gate).
+// Gate: median save+restore < 7% of the median end-to-end workload wall
+// time (exit 1 past the gate). The budget was 5% when fleet telemetry cost
+// ~1/3 of a seren replica; the ziggurat monitor noise cut the yardstick by
+// ~28%, and 7% of the new yardstick is the same absolute save+restore
+// budget.
 //
 // Flags: --scenario NAME --scale S --reps N --replicas R --workers W
 //        --json out.json
@@ -49,6 +52,7 @@ double median(std::vector<double> v) {
 }
 
 constexpr double kForever = std::numeric_limits<double>::infinity();
+constexpr double kMaxOverheadRatio = 0.07;
 
 // One save + restore at the straight run's midpoint. Returns the wall
 // seconds spent inside save/finish/restore only (the simulated work on
@@ -180,7 +184,8 @@ int main(int argc, char** argv) {
   table.add_row({"overhead ratio", common::Table::pct(ratio)});
   std::printf("%s", table.render().c_str());
   bench::recap("snapshot round-trip overhead",
-               "< 5% of the seren end-to-end workload",
+               "< " + common::Table::pct(kMaxOverheadRatio, 0) +
+                   " of the seren end-to-end workload",
                common::Table::pct(ratio));
   std::printf("  digests: straight == save/restore/resume on all %llu reps\n",
               static_cast<unsigned long long>(reps));
@@ -195,11 +200,11 @@ int main(int argc, char** argv) {
     std::printf("[json] results written to %s\n", json_path.c_str());
   }
 
-  if (ratio >= 0.05) {
+  if (ratio >= kMaxOverheadRatio) {
     std::fprintf(stderr,
                  "bench_snapshot: save+restore is %.1f%% of the end-to-end "
-                 "workload (gate: < 5%%)\n",
-                 ratio * 100);
+                 "workload (gate: < %.0f%%)\n",
+                 ratio * 100, kMaxOverheadRatio * 100);
     return 1;
   }
   return 0;

@@ -12,7 +12,7 @@ double GpuPowerModel::power_w(double sm_util, double mem_frac, common::Rng& rng)
   mem_frac = std::clamp(mem_frac, 0.0, 1.0);
   if (sm_util < 0.02) {
     // Idle GPUs still burn ~60 W; small jitter from clocking/ECC refresh.
-    return std::max(40.0, spec_.idle_power_w + rng.normal(0.0, 3.0));
+    return std::max(40.0, spec_.idle_power_w + rng.zig_normal(0.0, 3.0));
   }
   // Dynamic power grows superlinearly near full occupancy: tensor-core dense
   // kernels on communication-optimized jobs push past TDP (paper observes
@@ -23,10 +23,10 @@ double GpuPowerModel::power_w(double sm_util, double mem_frac, common::Rng& rng)
   if (sm_util > 0.9) {
     // Heavy tensor-core phases overshoot TDP with long-tailed excursions.
     const double overshoot = (spec_.max_power_w - spec_.tdp_w) *
-                             std::max(0.0, rng.normal(0.12, 0.30));
+                             std::max(0.0, rng.zig_normal(0.12, 0.30));
     p += overshoot * (sm_util - 0.9) / 0.1;
   }
-  p += rng.normal(0.0, 8.0);
+  p += rng.zig_normal(0.0, 8.0);
   return std::clamp(p, 40.0, spec_.max_power_w);
 }
 
@@ -36,12 +36,12 @@ double GpuThermalModel::core_temp_c(double power_w, double ambient_c,
   // noise. 400 W -> ~34 C above ambient; ambient ~30-35 C in a warm room
   // yields the >65 C heavy-load population of Fig 21.
   const double rise = 0.085 * power_w;
-  return ambient_c + rise + rng.normal(0.0, 1.5);
+  return ambient_c + rise + rng.zig_normal(0.0, 1.5);
 }
 
 double GpuThermalModel::mem_temp_c(double core_temp_c, common::Rng& rng) const {
   // HBM stacks run consistently hotter than the core (paper Fig 21).
-  return core_temp_c + 6.0 + std::max(0.0, rng.normal(2.0, 1.0));
+  return core_temp_c + 6.0 + std::max(0.0, rng.zig_normal(2.0, 1.0));
 }
 
 ServerPowerModel::ServerPowerModel(NodeSpec node) : node_(node) {}

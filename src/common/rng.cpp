@@ -26,6 +26,35 @@ std::uint64_t hash_label(std::string_view label) {
   return h;
 }
 
+// Doornik (2005), "An Improved Ziggurat Method to Generate Normal Random
+// Samples": 128 equal-area layers under the half-normal density. Layer 0 is
+// the base strip together with the tail beyond R.
+constexpr int kZigLayers = 128;
+constexpr double kZigR = 3.442619855899;
+constexpr double kZigV = 9.91256303526217e-3;
+
+struct ZigTables {
+  double x[kZigLayers + 1];  // layer right edges; x[0] = V / f(R) > R
+  double ratio[kZigLayers];  // x[i + 1] / x[i]: the always-accept share
+};
+
+const ZigTables& zig_tables() {
+  static const ZigTables tables = [] {
+    ZigTables t{};
+    double f = std::exp(-0.5 * kZigR * kZigR);
+    t.x[0] = kZigV / f;
+    t.x[1] = kZigR;
+    t.x[kZigLayers] = 0.0;
+    for (int i = 2; i < kZigLayers; ++i) {
+      t.x[i] = std::sqrt(-2.0 * std::log(kZigV / t.x[i - 1] + f));
+      f = std::exp(-0.5 * t.x[i] * t.x[i]);
+    }
+    for (int i = 0; i < kZigLayers; ++i) t.ratio[i] = t.x[i + 1] / t.x[i];
+    return t;
+  }();
+  return tables;
+}
+
 }  // namespace
 
 Rng::Rng(std::uint64_t seed) : seed_material_(seed) {
@@ -72,6 +101,37 @@ double Rng::normal() {
 }
 
 double Rng::normal(double mean, double stddev) { return mean + stddev * normal(); }
+
+double Rng::zig_normal() {
+  const ZigTables& t = zig_tables();
+  for (;;) {
+    // One draw feeds both the layer (low 7 bits) and a signed uniform in
+    // [-1, 1) (high 53 bits); the two bit ranges do not overlap.
+    const std::uint64_t bits = next();
+    const int i = static_cast<int>(bits & (kZigLayers - 1));
+    const double u = static_cast<double>(bits >> 11) * 0x1.0p-52 - 1.0;
+    if (std::fabs(u) < t.ratio[i]) return u * t.x[i];
+    if (i == 0) {
+      // Marsaglia's exact tail beyond R; 1 - uniform() keeps log's argument
+      // in (0, 1].
+      double x = 0, y = 0;
+      do {
+        x = std::log(1.0 - uniform()) / kZigR;
+        y = std::log(1.0 - uniform());
+      } while (-2.0 * y < x * x);
+      return u < 0 ? x - kZigR : kZigR - x;
+    }
+    // Wedge between layers i and i + 1: accept under the density.
+    const double x = u * t.x[i];
+    const double f0 = std::exp(-0.5 * (t.x[i] * t.x[i] - x * x));
+    const double f1 = std::exp(-0.5 * (t.x[i + 1] * t.x[i + 1] - x * x));
+    if (f1 + uniform() * (f0 - f1) < 1.0) return x;
+  }
+}
+
+double Rng::zig_normal(double mean, double stddev) {
+  return mean + stddev * zig_normal();
+}
 
 double Rng::lognormal(double mu, double sigma) { return std::exp(normal(mu, sigma)); }
 

@@ -59,8 +59,16 @@ class Rng {
   // Uniform integer in [lo, hi] inclusive.
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
   // Standard normal via Box-Muller (no cached spare: keeps state minimal).
+  // Trace synthesis and the failure/schedule models draw through this one;
+  // their streams are digest-pinned, so it must never change.
   double normal();
   double normal(double mean, double stddev);
+  // Standard normal via a 128-layer ziggurat (Doornik's ZIGNOR layout) with
+  // an exact Marsaglia tail: ~5x cheaper than normal(), but a different
+  // stream. Used for monitor noise (cluster power/thermal models, fleet
+  // telemetry), where hundreds of thousands of draws per world are made.
+  double zig_normal();
+  double zig_normal(double mean, double stddev);
   // Lognormal with the given underlying normal parameters.
   double lognormal(double mu, double sigma);
   // Exponential with the given rate (lambda > 0).

@@ -55,6 +55,11 @@ void SampleStats::add(double x) {
   sorted_ = false;
 }
 
+void SampleStats::reserve(std::size_t n) {
+  values_.reserve(n);
+  if (weighted_) weights_.reserve(n);
+}
+
 void SampleStats::add_weighted(double x, double weight) {
   if (!weighted_) {
     weights_.assign(values_.size(), 1.0);

@@ -60,6 +60,8 @@ class SampleStats {
  public:
   void add(double x);
   void add_weighted(double x, double weight);
+  // Presizes for `n` samples so a known-length fill never regrows.
+  void reserve(std::size_t n);
   std::size_t count() const { return values_.size(); }
   bool empty() const { return values_.empty(); }
   double mean() const;

@@ -251,6 +251,9 @@ void SnapshotReader::expect_tag(Tag tag) {
 }
 
 void SnapshotReader::take_raw(void* out, std::size_t n) {
+  // An empty pod array reads into a vector whose data() may be null, and
+  // memcpy's pointers must be non-null even for zero bytes.
+  if (n == 0) return;
   const std::size_t limit = in_section_ ? section_end_ : bytes_.size();
   ACME_CHECK_MSG(pos_ + n <= limit, "snapshot truncated mid-value");
   std::memcpy(out, bytes_.data() + pos_, n);

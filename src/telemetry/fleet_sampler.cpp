@@ -92,52 +92,68 @@ FleetSampler::GpuObservation FleetSampler::observe_gpu(WorkloadType type,
       // Transformer pretraining saturates the coarse utilization counter
       // while the finer SM activity hovers near 40% (compute/communication
       // interleave); HBM is nearly full (ZeRO states + activations).
-      o.util = std::clamp(rng.normal(99.0, 1.5), 80.0, 100.0);
-      o.sm = std::clamp(rng.normal(0.42, 0.14), 0.05, 1.0);
-      o.tc = std::clamp(o.sm * rng.uniform(0.55, 0.85), 0.0, 1.0);
-      o.mem_gb = std::clamp(rng.normal(61.0, 9.0), 20.0, 79.5);
+      o.util = std::clamp(rng.zig_normal(99.0, 1.5), 80.0, 100.0);
+      o.sm = std::clamp(rng.zig_normal(0.42, 0.14), 0.05, 1.0);
+      o.mem_gb = std::clamp(rng.zig_normal(61.0, 9.0), 20.0, 79.5);
       break;
     case WorkloadType::kSFT:
-      o.util = std::clamp(rng.normal(97.0, 4.0), 40.0, 100.0);
-      o.sm = std::clamp(rng.normal(0.38, 0.12), 0.05, 1.0);
-      o.tc = std::clamp(o.sm * rng.uniform(0.5, 0.8), 0.0, 1.0);
-      o.mem_gb = std::clamp(rng.normal(55.0, 12.0), 10.0, 79.5);
+      o.util = std::clamp(rng.zig_normal(97.0, 4.0), 40.0, 100.0);
+      o.sm = std::clamp(rng.zig_normal(0.38, 0.12), 0.05, 1.0);
+      o.mem_gb = std::clamp(rng.zig_normal(55.0, 12.0), 10.0, 79.5);
       break;
     case WorkloadType::kEvaluation:
       // Inference alternates between generation bursts and idle phases
       // (model loading, metric computation — Fig 13), so samples land on
       // either side.
       if (rng.bernoulli(0.48)) {
-        o.util = std::clamp(rng.normal(95.0, 6.0), 30.0, 100.0);
-        o.sm = std::clamp(rng.normal(0.30, 0.10), 0.03, 1.0);
+        o.util = std::clamp(rng.zig_normal(95.0, 6.0), 30.0, 100.0);
+        o.sm = std::clamp(rng.zig_normal(0.30, 0.10), 0.03, 1.0);
       } else {
-        o.util = std::clamp(rng.normal(4.0, 4.0), 0.0, 25.0);
-        o.sm = std::clamp(rng.normal(0.02, 0.02), 0.0, 0.2);
+        o.util = std::clamp(rng.zig_normal(4.0, 4.0), 0.0, 25.0);
+        o.sm = std::clamp(rng.zig_normal(0.02, 0.02), 0.0, 0.2);
       }
-      o.tc = std::clamp(o.sm * rng.uniform(0.4, 0.7), 0.0, 1.0);
-      o.mem_gb = std::clamp(rng.normal(28.0, 14.0), 2.0, 79.5);
+      o.mem_gb = std::clamp(rng.zig_normal(28.0, 14.0), 2.0, 79.5);
       break;
     case WorkloadType::kDebug:
     case WorkloadType::kOther:
-      o.util = rng.bernoulli(0.6) ? std::clamp(rng.normal(90.0, 15.0), 0.0, 100.0)
-                                  : std::clamp(rng.normal(15.0, 15.0), 0.0, 100.0);
-      o.sm = std::clamp(rng.normal(0.25, 0.15), 0.0, 1.0);
-      o.tc = std::clamp(o.sm * rng.uniform(0.3, 0.7), 0.0, 1.0);
-      o.mem_gb = std::clamp(rng.normal(35.0, 20.0), 1.0, 79.5);
+      o.util = rng.bernoulli(0.6) ? std::clamp(rng.zig_normal(90.0, 15.0), 0.0, 100.0)
+                                  : std::clamp(rng.zig_normal(15.0, 15.0), 0.0, 100.0);
+      o.sm = std::clamp(rng.zig_normal(0.25, 0.15), 0.0, 1.0);
+      o.mem_gb = std::clamp(rng.zig_normal(35.0, 20.0), 1.0, 79.5);
       break;
   }
   return o;
 }
 
+double FleetSampler::tensor_activity(WorkloadType type, double sm,
+                                     common::Rng& rng) {
+  // Tensor-core pipes are busy for a per-type share of SM-active time.
+  double lo = 0.3, hi = 0.7;  // debug / other
+  switch (type) {
+    case WorkloadType::kPretrain:
+    case WorkloadType::kMLLM: lo = 0.55; hi = 0.85; break;
+    case WorkloadType::kSFT: lo = 0.5; hi = 0.8; break;
+    case WorkloadType::kEvaluation: lo = 0.4; hi = 0.7; break;
+    case WorkloadType::kDebug:
+    case WorkloadType::kOther: break;
+  }
+  return std::clamp(sm * rng.uniform(lo, hi), 0.0, 1.0);
+}
+
+double FleetSampler::power_w(const GpuObservation& o, common::Rng& rng) const {
+  return gpu_power_.power_w(o.sm * (o.util / 100.0) * 2.0, o.mem_gb / 80.0, rng);
+}
+
 FleetMetrics FleetSampler::sample(std::size_t n, common::Rng& rng) const {
   FleetMetrics m;
+  for (common::SampleStats* monitor : m.monitors()) monitor->reserve(n);
   const auto& node = config_.spec.node;
   for (std::size_t i = 0; i < n; ++i) {
     // Occupancy at this observation: diurnal-ish jitter around the mean.
     const double occ =
         config_.busy_fraction <= 0.0
             ? 0.0
-            : std::clamp(config_.busy_fraction + rng.normal(0.0, 0.08), 0.0, 1.0);
+            : std::clamp(config_.busy_fraction + rng.zig_normal(0.0, 0.08), 0.0, 1.0);
     const bool busy = rng.bernoulli(occ);
 
     GpuObservation o{};
@@ -145,6 +161,7 @@ FleetMetrics FleetSampler::sample(std::size_t n, common::Rng& rng) const {
     if (busy) {
       type = mix_types_[rng.categorical(mix_weights_)];
       o = observe_gpu(type, rng);
+      o.tc = tensor_activity(type, o.sm, rng);
     } else {
       o.util = rng.bernoulli(0.9) ? 0.0 : rng.uniform(0.0, 3.0);
       o.sm = 0.0;
@@ -156,8 +173,7 @@ FleetMetrics FleetSampler::sample(std::size_t n, common::Rng& rng) const {
     m.tc_activity.add(o.tc);
     m.gpu_mem_gb.add(o.mem_gb);
 
-    const double power = gpu_power_.power_w(o.sm * (o.util / 100.0) * 2.0,
-                                            o.mem_gb / 80.0, rng);
+    const double power = power_w(o, rng);
     m.gpu_power_w.add(power);
     const double core = thermal_.core_temp_c(power, config_.ambient_temp_c, rng);
     m.gpu_core_temp_c.add(core);
@@ -168,7 +184,7 @@ FleetMetrics FleetSampler::sample(std::size_t n, common::Rng& rng) const {
     // under 50% even on busy pretraining nodes (Fig 7b, Fig 18).
     const double node_busy_gpus = occ * node.gpus;
     double host_mem_gb =
-        20.0 + node_busy_gpus * rng.uniform(8.0, 22.0) + std::max(0.0, rng.normal(20, 15));
+        20.0 + node_busy_gpus * rng.uniform(8.0, 22.0) + std::max(0.0, rng.zig_normal(20, 15));
     m.host_mem_frac.add(std::clamp(host_mem_gb / node.host_memory_gb, 0.0, 1.0));
     // CPUs: 16 CPUs per GPU, mostly idle dataloader workers.
     const double cpu_util =
@@ -181,18 +197,17 @@ FleetMetrics FleetSampler::sample(std::size_t n, common::Rng& rng) const {
     if (busy) {
       const IbProfile prof = ib_profile(type);
       if (prof.duty > 0 && rng.bernoulli(prof.duty))
-        ib = std::clamp(rng.normal(prof.level, prof.sd), 0.0, 0.45);
+        ib = std::clamp(rng.zig_normal(prof.level, prof.sd), 0.0, 0.45);
     }
     m.ib_send_frac.add(ib);
-    m.ib_recv_frac.add(std::clamp(ib + rng.normal(0.0, 0.004), 0.0, 1.0));
+    m.ib_recv_frac.add(std::clamp(ib + rng.zig_normal(0.0, 0.004), 0.0, 1.0));
 
-    // Server power: 8 GPUs at correlated load.
+    // Server power: 8 GPUs at correlated load. Only power is read off the
+    // node's GPUs, so their tensor activity is never drawn.
     double gpus_w = 0.0;
     for (int g = 0; g < node.gpus; ++g) {
       if (rng.bernoulli(occ)) {
-        auto go = observe_gpu(type, rng);
-        gpus_w += gpu_power_.power_w(go.sm * (go.util / 100.0) * 2.0,
-                                     go.mem_gb / 80.0, rng);
+        gpus_w += power_w(observe_gpu(type, rng), rng);
       } else {
         gpus_w += gpu_power_.power_w(0.0, 0.01, rng);
       }

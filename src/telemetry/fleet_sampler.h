@@ -9,6 +9,7 @@
 // 30% of GPUs idle at 60 W, TDP excursions, HBM hotter than core).
 #pragma once
 
+#include <array>
 #include <map>
 
 #include "cluster/power.h"
@@ -32,6 +33,18 @@ struct FleetMetrics {
   common::SampleStats server_power_w;
   common::SampleStats gpu_core_temp_c;
   common::SampleStats gpu_mem_temp_c;
+
+  // Every monitor above in declaration order, the order the world digest
+  // folds them in.
+  template <typename Self>
+  static auto monitors_of(Self& m) {
+    return std::array{&m.gpu_util,       &m.sm_activity,     &m.tc_activity,
+                      &m.gpu_mem_gb,     &m.host_mem_frac,   &m.cpu_util,
+                      &m.ib_send_frac,   &m.ib_recv_frac,    &m.gpu_power_w,
+                      &m.server_power_w, &m.gpu_core_temp_c, &m.gpu_mem_temp_c};
+  }
+  auto monitors() { return monitors_of(*this); }
+  auto monitors() const { return monitors_of(*this); }
 };
 
 struct FleetSamplerConfig {
@@ -55,7 +68,7 @@ class FleetSampler {
   struct GpuObservation {
     double util;     // 0..100
     double sm;       // 0..1
-    double tc;       // 0..1
+    double tc;       // 0..1; observe_gpu leaves it 0
     double mem_gb;
   };
   // What a node's IB counters show for a GPU running workload `type`:
@@ -67,7 +80,13 @@ class FleetSampler {
     double level = 0;
     double sd = 0.01;
   };
+  // The signals GpuPowerModel consumes (utilization, SM activity, memory)
+  // for a GPU running `type`.
   GpuObservation observe_gpu(trace::WorkloadType type, common::Rng& rng) const;
+  // DCGM tensor-pipe activity: a per-type share of the SM activity `sm`.
+  static double tensor_activity(trace::WorkloadType type, double sm,
+                                common::Rng& rng);
+  double power_w(const GpuObservation& o, common::Rng& rng) const;
   IbProfile ib_profile(trace::WorkloadType type) const;
 
   FleetSamplerConfig config_;

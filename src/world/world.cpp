@@ -93,6 +93,10 @@ std::uint64_t WorldReport::digest() const {
        << ";dom_kill=" << domain_jobs_killed
        << ";dom_cordon=" << domain_nodes_cordoned
        << ";dom_outage=" << domain_outage_seconds;
+  // Fleet telemetry: count and sum of each monitor in a fixed order, O(n)
+  // with no sort, so a nondeterministic noise path flips the digest.
+  for (const common::SampleStats* monitor : fleet.monitors())
+    os << ";fleet=" << monitor->count() << ',' << monitor->sum();
   common::Fnv1a h;
   h.update(os.str());
   // Binary folds over the full timelines: any divergence in a single sample

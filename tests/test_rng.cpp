@@ -140,6 +140,100 @@ TEST(Rng, NormalMomentsConverge) {
   EXPECT_NEAR(sum2 / n, 1.0, 0.03);
 }
 
+// normal() feeds trace synthesis and the failure/schedule streams, which the
+// determinism digests pin; any change to Box-Muller must fail here first.
+TEST(Rng, BoxMullerStreamIsPinned) {
+  Rng rng(1);
+  const double expected[] = {-0.83274143446567073, -0.81732098111511153,
+                             0.52658478393606956,  -1.68811944943972,
+                             -0.50599542488861571, 0.36023503068900459};
+  for (double want : expected) EXPECT_EQ(rng.normal(), want);
+}
+
+// --- Ziggurat normal (monitor noise) ---
+
+constexpr std::size_t kZigDraws = 4'000'000;
+// Layer 0's rectangle stops at R; only the tail branch returns |z| > R.
+constexpr double kZigR = 3.442619855899;
+
+struct ZigSummary {
+  double m1 = 0, m2 = 0, m3 = 0, m4 = 0;  // raw moments
+  std::size_t beyond3 = 0, beyond4 = 0, beyond_r = 0;
+};
+
+const ZigSummary& zig_summary() {
+  static const ZigSummary s = [] {
+    ZigSummary z;
+    Rng rng(2024);
+    for (std::size_t i = 0; i < kZigDraws; ++i) {
+      const double x = rng.zig_normal();
+      const double x2 = x * x;
+      z.m1 += x;
+      z.m2 += x2;
+      z.m3 += x2 * x;
+      z.m4 += x2 * x2;
+      const double a = std::fabs(x);
+      z.beyond3 += a > 3.0;
+      z.beyond4 += a > 4.0;
+      z.beyond_r += a > kZigR;
+    }
+    const double n = static_cast<double>(kZigDraws);
+    z.m1 /= n;
+    z.m2 /= n;
+    z.m3 /= n;
+    z.m4 /= n;
+    return z;
+  }();
+  return s;
+}
+
+// Expects `hits` within 5 binomial standard deviations of n * p.
+void expect_binomial(std::size_t hits, double p, const char* what) {
+  const double n = static_cast<double>(kZigDraws);
+  const double sd = std::sqrt(n * p * (1 - p));
+  EXPECT_NEAR(static_cast<double>(hits), n * p, 5 * sd) << what;
+}
+
+TEST(RngZiggurat, MomentsMatchStandardNormal) {
+  const ZigSummary& z = zig_summary();
+  // Tolerances are ~6 standard errors at 4M draws.
+  EXPECT_NEAR(z.m1, 0.0, 0.003);
+  EXPECT_NEAR(z.m2, 1.0, 0.004);
+  EXPECT_NEAR(z.m3, 0.0, 0.012);
+  EXPECT_NEAR(z.m4, 3.0, 0.03);  // kurtosis of a normal
+}
+
+TEST(RngZiggurat, TailMassWithinBinomialBounds) {
+  const ZigSummary& z = zig_summary();
+  expect_binomial(z.beyond3, 0.0026997960632601913, "P(|z| > 3)");
+  expect_binomial(z.beyond4, 6.334248366623993e-05, "P(|z| > 4)");
+}
+
+TEST(RngZiggurat, TailBranchIsReached) {
+  const ZigSummary& z = zig_summary();
+  EXPECT_GT(z.beyond_r, 0u);
+  expect_binomial(z.beyond_r, 0.0005761085123916405, "P(|z| > R)");
+}
+
+TEST(RngZiggurat, SeedEqualStreamsAreIdentical) {
+  Rng a(99), b(99), c(100);
+  int equal_to_other_seed = 0;
+  for (int i = 0; i < 10000; ++i) {
+    const double x = a.zig_normal();
+    EXPECT_EQ(x, b.zig_normal());
+    if (x == c.zig_normal()) ++equal_to_other_seed;
+  }
+  EXPECT_LT(equal_to_other_seed, 5);
+  // The streams stay in lockstep for the raw generator afterwards too.
+  EXPECT_EQ(a.next(), b.next());
+}
+
+TEST(RngZiggurat, MeanStddevOverloadScales) {
+  Rng a(7), b(7);
+  for (int i = 0; i < 100; ++i)
+    EXPECT_DOUBLE_EQ(a.zig_normal(10.0, 2.5), 10.0 + 2.5 * b.zig_normal());
+}
+
 TEST(Rng, ExponentialMeanMatchesRate) {
   Rng rng(16);
   double sum = 0;

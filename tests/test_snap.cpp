@@ -69,6 +69,29 @@ TEST(SnapFormat, PrimitivesRoundTrip) {
   EXPECT_TRUE(r.at_end());
 }
 
+// An empty vector's data() may be null; reading zero bytes into it must not
+// hand memcpy a null pointer (UBSan nonnull-attribute) and must round-trip.
+TEST(SnapFormat, EmptyPodArrayRoundTrips) {
+  SnapshotWriter w;
+  w.begin_section("empty");
+  w.write_pod_vec(std::vector<std::uint64_t>{});
+  w.write_pod_vec(std::vector<std::uint64_t>{});
+  w.write_u32(7);
+  w.end_section();
+
+  SnapshotReader r(w.finish());
+  r.enter_section("empty");
+  std::vector<std::uint64_t> fresh;  // data() is null: nothing allocated yet
+  r.read_pod_vec(fresh);
+  EXPECT_TRUE(fresh.empty());
+  std::vector<std::uint64_t> stale{1, 2, 3};
+  r.read_pod_vec(stale);
+  EXPECT_TRUE(stale.empty());
+  EXPECT_EQ(r.read_u32(), 7u);  // the cursor did not move on the empty reads
+  r.leave_section();
+  EXPECT_TRUE(r.at_end());
+}
+
 TEST(SnapFormat, RejectsBadMagic) {
   std::string bytes = one_section_bytes();
   bytes[0] = 'X';

@@ -152,6 +152,44 @@ TEST(FleetSampler, IdleClusterReadsZeroUtil) {
   EXPECT_DOUBLE_EQ(m.sm_activity.max(), 0.0);
 }
 
+// --- Seren operating point: what World::finish() actually feeds the sampler.
+// A seren world replica's time-averaged occupancy lands between ~0.4 and
+// ~0.7 depending on the seed, with this GPU-time mix (Fig 4 shares of the
+// synthesized trace), so the Fig 8 bands must hold across that range.
+
+FleetSamplerConfig seren_world_config(double busy_fraction) {
+  FleetSamplerConfig config;
+  config.spec = cluster::seren_spec();
+  config.busy_fraction = busy_fraction;
+  config.gputime_mix = {{trace::WorkloadType::kPretrain, 0.703},
+                        {trace::WorkloadType::kSFT, 0.066},
+                        {trace::WorkloadType::kMLLM, 0.177},
+                        {trace::WorkloadType::kEvaluation, 0.033},
+                        {trace::WorkloadType::kDebug, 0.021},
+                        {trace::WorkloadType::kOther, 0.001}};
+  return config;
+}
+
+class SerenOperatingPoint : public ::testing::TestWithParam<double> {};
+
+TEST_P(SerenOperatingPoint, PowerDistributionMatchesFig8) {
+  const double busy = GetParam();
+  common::Rng rng(4);
+  const auto m = FleetSampler(seren_world_config(busy)).sample(20000, rng);
+  // Fig 8a: 22.1% of Seren GPUs exceed the 400 W TDP on the paper's fleet.
+  const double over_tdp = 1.0 - m.gpu_power_w.cdf(400.0);
+  EXPECT_GE(over_tdp, 0.12);
+  EXPECT_LE(over_tdp, 0.30);
+  EXPECT_LE(m.gpu_power_w.max(), 600.0);
+  // Idle GPUs sit near 60 W: the mass in [50, 80] W tracks the idle share.
+  const double near_idle = m.gpu_power_w.cdf(80.0) - m.gpu_power_w.cdf(50.0);
+  EXPECT_NEAR(near_idle, 1.0 - busy, 0.05);
+  EXPECT_NEAR(m.gpu_power_w.quantile(0.5 * (1.0 - busy)), 60.0, 5.0);
+}
+
+INSTANTIATE_TEST_SUITE_P(BusyFractions, SerenOperatingPoint,
+                         ::testing::Values(0.4, 0.6));
+
 TEST(FleetSampler, RejectsEmptyMix) {
   FleetSamplerConfig cfg;
   cfg.spec = cluster::seren_spec();

@@ -138,6 +138,25 @@ TEST(Scenario, ServeValidationRejectsNonsense) {
       << error;
 }
 
+// The digest folds every fleet telemetry monitor: one extra or one changed
+// observation in any of the 12 flips it.
+TEST(World, DigestCoversFleetTelemetry) {
+  const world::WorldReport& base = quiet_report();
+  ASSERT_EQ(base.fleet.gpu_power_w.count(), 2000u);
+  for (std::size_t i = 0; i < base.fleet.monitors().size(); ++i) {
+    world::WorldReport extra = base;
+    extra.fleet.monitors()[i]->add(0.5);
+    EXPECT_NE(extra.digest(), base.digest()) << "monitor " << i;
+  }
+  // Same count, one reading 1 W higher.
+  common::SampleStats power;
+  for (double w : base.fleet.gpu_power_w.values())
+    power.add(power.empty() ? w + 1.0 : w);
+  world::WorldReport nudged = base;
+  nudged.fleet.gpu_power_w = power;
+  EXPECT_NE(nudged.digest(), base.digest());
+}
+
 TEST(World, ServeOnlyRunReportsFleetCounters) {
   world::ScenarioSpec spec = world::serve_seren_scenario();
   spec.name = "serve-unit";
