@@ -12,7 +12,7 @@
 // grows unless recovery stays localized.
 //
 // Two gates, enforced by the binary itself:
-//   * allocation freedom: a TU-local operator-new hook brackets each
+//   * allocation freedom: the shared operator-new hook brackets each
 //     measured drain (prepare() and finish() are outside); any heap
 //     allocation inside the drain — scheduler, failure chains, domain
 //     cordons and kills included — exits 1.
@@ -29,48 +29,13 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
-#include <new>
 #include <string>
 #include <vector>
 
+#include "alloc_hook.h"
 #include "bench_util.h"
 
 using namespace acme;
-
-// Allocation-counting hook (same pattern as bench_parallel_replay): every
-// global operator new in this binary bumps a counter.
-namespace {
-std::uint64_t g_heap_allocs = 0;
-void* counted_alloc(std::size_t n, std::size_t align) {
-  ++g_heap_allocs;
-  void* p = align > alignof(std::max_align_t)
-                ? std::aligned_alloc(align, (n + align - 1) / align * align)
-                : std::malloc(n);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-}  // namespace
-
-void* operator new(std::size_t n) { return counted_alloc(n, 0); }
-void* operator new[](std::size_t n) { return counted_alloc(n, 0); }
-void* operator new(std::size_t n, std::align_val_t a) {
-  return counted_alloc(n, static_cast<std::size_t>(a));
-}
-void* operator new[](std::size_t n, std::align_val_t a) {
-  return counted_alloc(n, static_cast<std::size_t>(a));
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
 
 namespace {
 
@@ -120,12 +85,12 @@ SweepRow run_point(const SweepPoint& point, bool full) {
   world::World w(spec);
   w.prepare();  // trace synthesis + table sizing, outside the bracket
 
-  const std::uint64_t allocs_before = g_heap_allocs;
+  const std::uint64_t allocs_before = bench::heap_allocs();
   const auto t0 = std::chrono::steady_clock::now();
   row.events =
       w.run_until(std::numeric_limits<double>::infinity());  // measured drain
   const auto t1 = std::chrono::steady_clock::now();
-  row.drain_allocs = g_heap_allocs - allocs_before;
+  row.drain_allocs = bench::heap_allocs() - allocs_before;
   row.drain_wall = std::chrono::duration<double>(t1 - t0).count();
 
   row.report = w.finish();

@@ -3,53 +3,10 @@
 // vector store, and the trace synthesizer.
 #include <benchmark/benchmark.h>
 
-#include <atomic>
-#include <cstdlib>
-#include <new>
-
+#include "alloc_hook.h"
 #include "core/acme.h"
 
 using namespace acme;
-
-// Allocation-counting hook: every global operator new in this binary bumps a
-// counter, so benchmarks can assert allocation-freedom of a region (see
-// BM_SixMonthReplay's allocs_per_event counter — the replay's steady-state
-// schedule→pop→dispatch path must stay at zero).
-namespace {
-std::atomic<std::uint64_t> g_heap_allocs{0};
-std::uint64_t heap_allocs() {
-  return g_heap_allocs.load(std::memory_order_relaxed);
-}
-void* counted_alloc(std::size_t n, std::size_t align) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  void* p = align > alignof(std::max_align_t)
-                ? std::aligned_alloc(align, (n + align - 1) / align * align)
-                : std::malloc(n);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-}  // namespace
-
-void* operator new(std::size_t n) { return counted_alloc(n, 0); }
-void* operator new[](std::size_t n) { return counted_alloc(n, 0); }
-void* operator new(std::size_t n, std::align_val_t a) {
-  return counted_alloc(n, static_cast<std::size_t>(a));
-}
-void* operator new[](std::size_t n, std::align_val_t a) {
-  return counted_alloc(n, static_cast<std::size_t>(a));
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
 
 namespace {
 
@@ -142,9 +99,9 @@ void BM_SixMonthReplay(benchmark::State& state) {
     // brackets the pure event loop: setup (trace copy, table sizing) and
     // teardown allocate, the schedule→pop→dispatch loop must not.
     replay.begin_replay(jobs);
-    const std::uint64_t before = heap_allocs();
+    const std::uint64_t before = bench::heap_allocs();
     replay.engine().run();
-    run_allocs += heap_allocs() - before;
+    run_allocs += bench::heap_allocs() - before;
     run_events += replay.engine().events_fired();
     benchmark::DoNotOptimize(replay.finish_replay());
   }

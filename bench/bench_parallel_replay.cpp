@@ -12,7 +12,7 @@
 // drains (exit 1 on divergence: a perf win that breaks determinism loses).
 //
 // Two gates, enforced by the binary itself:
-//   * allocation freedom: a TU-local operator-new hook brackets the
+//   * allocation freedom: the shared operator-new hook brackets the
 //     measured parallel drain; any steady-state heap allocation at
 //     --workers 8 exits 1 (the runner's commit logs and the pool's task
 //     rings are pre-grown by a warm-up repetition).
@@ -24,61 +24,21 @@
 // Flags: --workers W --shards N --scale S --reps R --seed S --window SECONDS
 //        --min-speedup X --json out.json
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <limits>
 #include <memory>
-#include <new>
 #include <optional>
 #include <string_view>
 #include <thread>
 #include <vector>
 
+#include "alloc_hook.h"
 #include "bench_util.h"
 
 using namespace acme;
-
-// Allocation-counting hook (same pattern as bench_micro_engines): every
-// global operator new in this binary bumps a counter.
-namespace {
-std::atomic<std::uint64_t> g_heap_allocs{0};
-std::uint64_t heap_allocs() {
-  return g_heap_allocs.load(std::memory_order_relaxed);
-}
-void* counted_alloc(std::size_t n, std::size_t align) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  void* p = align > alignof(std::max_align_t)
-                ? std::aligned_alloc(align, (n + align - 1) / align * align)
-                : std::malloc(n);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-}  // namespace
-
-void* operator new(std::size_t n) { return counted_alloc(n, 0); }
-void* operator new[](std::size_t n) { return counted_alloc(n, 0); }
-void* operator new(std::size_t n, std::align_val_t a) {
-  return counted_alloc(n, static_cast<std::size_t>(a));
-}
-void* operator new[](std::size_t n, std::align_val_t a) {
-  return counted_alloc(n, static_cast<std::size_t>(a));
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
 
 namespace {
 
@@ -117,11 +77,11 @@ DrainResult drain_once(const core::ClusterSetup& setup,
   if (pool != nullptr) pool->reserve(64);
 
   DrainResult out;
-  const std::uint64_t allocs_before = heap_allocs();
+  const std::uint64_t allocs_before = bench::heap_allocs();
   const auto t0 = std::chrono::steady_clock::now();
   const sim::WindowStats stats = runner.run(pool, lookahead);
   const auto t1 = std::chrono::steady_clock::now();
-  out.allocs = heap_allocs() - allocs_before;
+  out.allocs = bench::heap_allocs() - allocs_before;
   out.wall = std::chrono::duration<double>(t1 - t0).count();
   out.events = stats.events;
 

@@ -1,5 +1,5 @@
 // Serve hot-path throughput: raw sustained simulated requests/second through
-// the continuous-batching spine, with a TU-local operator-new hook proving
+// the continuous-batching spine, with the shared operator-new hook proving
 // the steady state allocation-free.
 //
 // The measured region is one engine drain of a pre-warmed fleet: a warm-up
@@ -15,62 +15,14 @@
 // arrival process. bench_serve_slo covers the shaped-traffic behaviour.
 //
 // Flags: --replicas N --rps R --seconds SIMULATED --seed S --json out.json
-//        --workers W
-// --workers > 1 routes the measured drain through the parallel window
-// runtime (sim::WindowRunner on an acme::task pool, DESIGN.md §13). A serve
-// fleet is one partition, so this buys coverage, not speedup — the point is
-// that the allocation-freedom contract and the report hold verbatim when the
-// spine executes on pool workers.
-#include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
-#include <limits>
-#include <new>
-#include <optional>
 
+#include "alloc_hook.h"
 #include "bench_util.h"
 
 using namespace acme;
-
-// Allocation-counting hook (same pattern as bench_micro_engines): every
-// global operator new in this binary bumps a counter.
-namespace {
-std::atomic<std::uint64_t> g_heap_allocs{0};
-std::uint64_t heap_allocs() {
-  return g_heap_allocs.load(std::memory_order_relaxed);
-}
-void* counted_alloc(std::size_t n, std::size_t align) {
-  g_heap_allocs.fetch_add(1, std::memory_order_relaxed);
-  void* p = align > alignof(std::max_align_t)
-                ? std::aligned_alloc(align, (n + align - 1) / align * align)
-                : std::malloc(n);
-  if (p == nullptr) throw std::bad_alloc();
-  return p;
-}
-}  // namespace
-
-void* operator new(std::size_t n) { return counted_alloc(n, 0); }
-void* operator new[](std::size_t n) { return counted_alloc(n, 0); }
-void* operator new(std::size_t n, std::align_val_t a) {
-  return counted_alloc(n, static_cast<std::size_t>(a));
-}
-void* operator new[](std::size_t n, std::align_val_t a) {
-  return counted_alloc(n, static_cast<std::size_t>(a));
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
 
 int main(int argc, char** argv) {
   std::uint64_t replicas = 64;
@@ -78,7 +30,6 @@ int main(int argc, char** argv) {
                         // rejection paths all stay hot
   double seconds = 600.0;
   std::uint64_t seed = 42;
-  std::uint64_t workers = 1;
   std::string json_path;
 
   common::FlagSet flags("bench_serve_spine");
@@ -91,8 +42,6 @@ int main(int argc, char** argv) {
   flags.add("--rps", &rps, "long-run offered requests/second");
   flags.add("--seconds", &seconds, "simulated arrival horizon");
   flags.add("--seed", &seed, "arrival-process seed");
-  flags.add("--workers", &workers,
-            "window-drain pool width (1 = classic serial engine drain)");
   flags.add("--json", &json_path,
             "write a BENCH-format results JSON for tools/bench_compare.py");
   std::string error;
@@ -121,43 +70,23 @@ int main(int argc, char** argv) {
   std::printf("replicas %d x %d GPUs, %.0f rps offered, %.0f s simulated\n",
               cfg.replicas, cfg.hw.gpus, rps, seconds);
 
-  constexpr double kInf = std::numeric_limits<double>::infinity();
   sim::Engine engine;
-  std::optional<task::Pool> pool;
-  if (workers > 1) pool.emplace(static_cast<std::size_t>(workers));
-  std::uint64_t warm_events = 0;
   {
     // Warm-up at full length: grows the engine's slot vector, sorted run and
     // heap to their steady-state high-water marks; reset() keeps capacity.
-    // With --workers the warm-up also goes through a window runner so the
-    // pool's task rings are grown before the measured drain.
     serve::ServeFleet warm(engine, cfg, seed);
     warm.start();
-    if (pool) {
-      sim::WindowRunner warm_runner;
-      warm_runner.add_partition(engine, 0);
-      warm_events = warm_runner.run(&*pool, kInf).events;
-    } else {
-      warm_events = engine.run();
-    }
+    engine.run();
     engine.reset();
   }
 
   serve::ServeFleet fleet(engine, cfg, seed);
   fleet.start();
-  sim::WindowRunner runner;
-  if (pool) {
-    runner.add_partition(engine, 0);
-    runner.reserve(static_cast<std::size_t>(warm_events) + 1024);
-    pool->reserve(64);
-  }
-  const std::uint64_t allocs_before = heap_allocs();
+  const std::uint64_t allocs_before = bench::heap_allocs();
   const auto t0 = std::chrono::steady_clock::now();
-  const std::size_t events =
-      pool ? static_cast<std::size_t>(runner.run(&*pool, kInf).events)
-           : engine.run();
+  const std::size_t events = engine.run();
   const auto t1 = std::chrono::steady_clock::now();
-  const std::uint64_t run_allocs = heap_allocs() - allocs_before;
+  const std::uint64_t run_allocs = bench::heap_allocs() - allocs_before;
   const double wall = std::chrono::duration<double>(t1 - t0).count();
 
   const serve::FleetReport report = fleet.report();
@@ -171,7 +100,6 @@ int main(int argc, char** argv) {
   table.add_row({"batching epochs", std::to_string(report.epochs)});
   table.add_row({"decode steps", std::to_string(report.decode_steps)});
   table.add_row({"engine events", std::to_string(events)});
-  table.add_row({"drain workers", std::to_string(workers)});
   table.add_row({"wall seconds", common::Table::num(wall, 3)});
   table.add_row({"simulated requests/s", common::Table::num(req_per_s / 1e6, 2) + "M"});
   table.add_row({"events/s", common::Table::num(
@@ -189,7 +117,7 @@ int main(int argc, char** argv) {
 
   if (!json_path.empty()) {
     std::ofstream out(json_path);
-    out << "{\n  \"workers\": " << workers << ",\n  \"results\": {\n"
+    out << "{\n  \"results\": {\n"
         << "    \"bench_serve_spine/requests\": { \"items_per_second\": "
         << static_cast<std::uint64_t>(req_per_s) << " }\n  }\n}\n";
     std::printf("[json] results written to %s\n", json_path.c_str());

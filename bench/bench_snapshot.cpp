@@ -20,17 +20,12 @@
 // ~28%, and 7% of the new yardstick is the same absolute save+restore
 // budget.
 //
-// Flags: --scenario NAME --scale S --reps N --replicas R --workers W
-//        --json out.json
-// --workers > 1 drains both the yardstick replicas and the resumed worlds
-// through the parallel window runtime (DESIGN.md §13); the digest check
-// then also pins restore+parallel-resume against the straight serial run.
+// Flags: --scenario NAME --scale S --reps N --replicas R --json out.json
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <limits>
-#include <optional>
 #include <vector>
 
 #include "bench_util.h"
@@ -82,7 +77,6 @@ int main(int argc, char** argv) {
   double scale = 0;  // 0 = the preset's own scale
   std::uint64_t reps = 3;
   std::uint64_t replicas = 4;
-  std::uint64_t workers = 1;
   std::string json_path;
 
   common::FlagSet flags("bench_snapshot");
@@ -92,9 +86,6 @@ int main(int argc, char** argv) {
   flags.add("--replicas", &replicas,
             "MC replicas in the end-to-end yardstick workload (the "
             "bench_world_endtoend canonical row uses 4)");
-  flags.add("--workers", &workers,
-            "window-drain workers for the yardstick and the resumed worlds "
-            "(1 = serial event drain)");
   flags.add("--json", &json_path,
             "write a BENCH-format results JSON for tools/bench_compare.py");
   std::string error;
@@ -121,11 +112,7 @@ int main(int argc, char** argv) {
   mc::ReplicationOptions mc_options;
   mc_options.replicas = static_cast<std::size_t>(replicas);
   mc_options.threads = 1;
-  mc_options.workers = static_cast<std::size_t>(workers == 0 ? 1 : workers);
   mc_options.stream_label = "world";
-
-  std::optional<task::Pool> pool;
-  if (mc_options.workers > 1) pool.emplace(mc_options.workers);
 
   bench::header("Snapshot", "World save/restore overhead vs the replay");
   std::printf("scenario %s, scale %.3g, %llu repetitions, %llu-replica "
@@ -156,12 +143,8 @@ int main(int argc, char** argv) {
     world::World resumed(spec);
     roundtrip_walls.push_back(
         snapshot_roundtrip(spec, mid, &snapshot_bytes, resumed));
-    world::WorldReport resumed_report = [&] {
-      if (pool) return resumed.run_parallel(*pool);
-      resumed.run_until(kForever);
-      return resumed.finish();
-    }();
-    if (resumed_report.digest() != straight.digest()) {
+    resumed.run_until(kForever);
+    if (resumed.finish().digest() != straight.digest()) {
       std::fprintf(stderr,
                    "bench_snapshot: digest divergence on rep %llu — the "
                    "snapshot path is not byte-identical\n",
@@ -192,7 +175,7 @@ int main(int argc, char** argv) {
 
   if (!json_path.empty()) {
     std::ofstream out(json_path);
-    out << "{\n  \"workers\": " << mc_options.workers << ",\n  \"results\": {\n"
+    out << "{\n  \"results\": {\n"
         << "    \"BM_SnapshotRoundTrip\": { \"seconds\": " << roundtrip_s
         << " },\n"
         << "    \"BM_SnapshotRoundTrip/seren_endtoend\": { \"seconds\": "

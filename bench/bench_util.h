@@ -5,7 +5,6 @@
 
 #include <cstdio>
 #include <limits>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -101,10 +100,10 @@ inline void recap(const std::string& what, const std::string& paper,
 inline void mc_footer(const mc::BenchReport& report, const mc::McCli& cli) {
   const auto& t = report.timing();
   std::printf(
-      "\n[mc] %zu replicas on %zu threads x %zu workers: wall %.2f s, "
+      "\n[mc] %zu replicas on %zu threads: wall %.2f s, "
       "serial-equivalent %.2f s, speedup %.2fx\n",
-      cli.options.replicas, t.threads_used, t.workers_used, t.wall_seconds,
-      t.serial_seconds, t.speedup());
+      cli.options.replicas, t.threads_used, t.wall_seconds, t.serial_seconds,
+      t.speedup());
   if (!cli.json_path.empty() && report.write(cli.json_path))
     std::printf("[mc] report written to %s\n", cli.json_path.c_str());
 }
@@ -169,18 +168,10 @@ inline std::string snapshot_cli_error(const SnapshotCli& cli) {
 // when neither side is active, save-at-T-then-continue for --snapshot-at,
 // restore-then-finish for --restore. The returned report is byte-identical
 // to the uninterrupted run in all three modes (test_determinism pins this).
-// `workers` > 1 drains each mode's remaining timeline through the parallel
-// window runtime (World::run_parallel) — still digest-identical, which is
-// exactly the §13 invariant the determinism matrix pins.
 inline world::WorldReport run_world_snapshot_aware(
-    const world::ScenarioSpec& spec, const SnapshotCli& cli,
-    std::size_t workers = 1) {
-  constexpr double kForever = std::numeric_limits<double>::infinity();
-  std::optional<task::Pool> pool;
-  if (workers != 1) pool.emplace(workers);
-  const auto drain = [&](world::World& w) {
-    if (pool) return w.run_parallel(*pool);
-    w.run_until(kForever);
+    const world::ScenarioSpec& spec, const SnapshotCli& cli) {
+  const auto drain = [](world::World& w) {
+    w.run_until(std::numeric_limits<double>::infinity());
     return w.finish();
   };
   if (cli.restoring()) {
@@ -197,10 +188,6 @@ inline world::WorldReport run_world_snapshot_aware(
     std::printf("[snap] world saved to %s at t=%.0f s; continuing\n",
                 cli.snapshot_out.c_str(), cli.snapshot_at);
     return drain(w);
-  }
-  if (pool) {
-    world::World w(spec);
-    return w.run_parallel(*pool);
   }
   return world::run_world(spec);
 }

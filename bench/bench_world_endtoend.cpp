@@ -5,11 +5,9 @@
 // recovery pricing, fleet telemetry — and reports how much goodput the
 // failures cost, against the paper's §5.2/§6.1 claims. The Monte Carlo
 // replication re-seeds the full scenario per replica.
-// Flags: --scenario NAME|FILE.json --replicas N --threads K --workers W
-//        --seed S --json out.json --trace-out t.json --metrics-out m.prom
+// Flags: --scenario NAME|FILE.json --replicas N --threads K --seed S
+//        --json out.json --trace-out t.json --metrics-out m.prom
 //        --snapshot-at T --snapshot-out snap.bin | --restore snap.bin
-// --workers drains each replay through the parallel window runtime
-// (DESIGN.md §13); reports are byte-identical at any width.
 #include <fstream>
 #include <sstream>
 
@@ -94,10 +92,9 @@ int main(int argc, char** argv) {
 
   // Canonical single run at the scenario's own seed (snapshot-aware: the
   // digest is identical whether the run is straight, paused-and-saved, or
-  // resumed from a file — and, with --workers, however wide the drain pool
-  // is).
+  // resumed from a file).
   const world::WorldReport report =
-      bench::run_world_snapshot_aware(spec, snap_cli, cli.options.workers);
+      bench::run_world_snapshot_aware(spec, snap_cli);
   const double trace_days = report.replay.makespan / common::kDay;
   common::Table table({"metric", "value"});
   table.add_row({"makespan", common::format_duration(report.replay.makespan)});

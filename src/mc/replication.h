@@ -1,7 +1,7 @@
 // Deterministic parallel Monte Carlo replication.
 //
 // A ReplicationPlan runs N independent replicas of a simulation body on a
-// ThreadPool. Determinism is by construction: replica i always draws from
+// task::Pool. Determinism is by construction: replica i always draws from
 // Rng(seed).fork("<label>-<i>") and writes its result into slot i of a
 // pre-sized vector, so per-replica results are bit-identical to serial
 // execution regardless of thread count or scheduling order. Aggregation
@@ -27,8 +27,8 @@
 
 #include "common/check.h"
 #include "common/rng.h"
-#include "mc/thread_pool.h"
 #include "obs/obs.h"
+#include "task/task.h"
 
 namespace acme::mc {
 
@@ -42,30 +42,7 @@ struct ReplicationOptions {
   // Replicas dispatched per pool task; >1 amortizes queue traffic when each
   // replica is cheap.
   std::size_t chunk = 1;
-  // Width of the per-replica window-drain pool (acme::task; sim/window.h):
-  // each replica's event spine drains through World::run_parallel on this
-  // many workers. 1 = the classic serial drain; 0 = hardware concurrency.
-  // Composes with `threads` via effective_workers() below — replica results
-  // are digest-identical at any width (DESIGN.md §13), so the clamp is a
-  // pure scheduling decision.
-  std::size_t workers = 1;
 };
-
-// Resolves options.workers against the replica-pool width so the composition
-// never oversubscribes: with threads == 1 (or a single replica) the request
-// passes through untouched — one drain may own the whole machine, and the
-// determinism matrix deliberately runs workers=8 on any box — otherwise the
-// width shrinks until replicas-in-flight × workers fits the core count.
-inline std::size_t effective_workers(const ReplicationOptions& options) {
-  const std::size_t hw =
-      std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  const std::size_t workers = options.workers == 0 ? hw : options.workers;
-  if (options.threads == 1 || options.replicas == 1) return workers;
-  const std::size_t in_flight = std::min(
-      options.threads == 0 ? hw : options.threads, options.replicas);
-  return std::max<std::size_t>(
-      1, std::min(workers, hw / std::max<std::size_t>(1, in_flight)));
-}
 
 // CPU seconds consumed by the calling thread. Replica costs are measured
 // with this clock, not wall time: on an oversubscribed machine a replica's
@@ -90,9 +67,6 @@ struct RunTiming {
   double wall_seconds = 0;
   double serial_seconds = 0;
   std::size_t threads_used = 1;
-  // Per-replica window-drain width actually used (post-clamp); drivers that
-  // plumb --workers fill this in so reports record it next to threads.
-  std::size_t workers_used = 1;
   double speedup() const {
     return wall_seconds > 0 ? serial_seconds / wall_seconds : 1.0;
   }
@@ -147,7 +121,7 @@ class ReplicationPlan {
       for (std::size_t i = 0; i < options_.replicas; ++i) run_replica(i);
       out.timing.threads_used = 1;
     } else {
-      ThreadPool pool(options_.threads);
+      task::Pool pool(options_.threads);
       pool.parallel_for(options_.replicas, options_.chunk, run_replica);
       out.timing.threads_used = pool.size();
     }

@@ -71,7 +71,6 @@ std::string BenchReport::to_json() const {
   append_escaped(out, bench_);
   out += ",\n  \"replicas\": " + std::to_string(replicas_);
   out += ",\n  \"threads\": " + std::to_string(timing_.threads_used);
-  out += ",\n  \"workers\": " + std::to_string(timing_.workers_used);
   out += ",\n  \"wall_seconds\": ";
   append_number(out, timing_.wall_seconds);
   out += ",\n  \"serial_seconds\": ";
@@ -128,9 +127,6 @@ void add_mc_flags(common::FlagSet& flags, McCli& cli) {
             "number of Monte Carlo replicas");
   flags.add("--threads", &cli.options.threads,
             "worker threads (0 = hardware concurrency, 1 = serial)");
-  flags.add("--workers", &cli.options.workers,
-            "per-replica window-drain workers (1 = serial event drain, "
-            "0 = hardware concurrency; see DESIGN.md §13)");
   flags.add("--seed", &cli.options.seed, "base seed for the replica streams");
   flags.add("--json", &cli.json_path, "write the BenchReport JSON here");
 }

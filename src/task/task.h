@@ -1,6 +1,7 @@
-// Work-stealing task runtime — the execution substrate for parallelizing a
-// SINGLE replay (sim::WindowRunner), as opposed to acme::mc::ThreadPool which
-// parallelizes across independent Monte Carlo replicas.
+// Work-stealing task runtime — the one execution substrate in AcmeSim. It
+// drains the partitions of a multi-partition replay (sim::WindowRunner) and
+// runs independent Monte Carlo replicas (mc::ReplicationPlan, through
+// parallel_for).
 //
 // Shape (marl-style, scaled to this codebase's needs):
 //  - a fixed pool of worker threads, each owning a ring deque of tasks;
@@ -152,7 +153,7 @@ class Pool {
     if (n == 0) return;
     if (grain == 0) grain = 1;
     WaitGroup wg;
-    const F* body = &fn;  // caller blocks below, so the reference outlives
+    const auto* body = &fn;  // caller blocks below, so the reference outlives
     std::size_t chunk = 0;
     for (std::size_t begin = 0; begin < n; begin += grain, ++chunk) {
       const std::size_t end = std::min(begin + grain, n);

@@ -51,9 +51,9 @@ double FleetRunReport::max_makespan_days() const {
 }
 
 FleetRunReport run_world_fleet(const ScenarioSpec& spec,
-                               const FleetOptions& options) {
-  ACME_CHECK_MSG(options.groups >= 1, "fleet needs at least one group");
-  const int groups = options.groups;
+                               const FleetOptions& fleet) {
+  ACME_CHECK_MSG(fleet.groups >= 1, "fleet needs at least one group");
+  const int groups = fleet.groups;
   const common::Rng seeder(spec.seed);
 
   std::vector<std::unique_ptr<World>> worlds;
@@ -75,10 +75,10 @@ FleetRunReport run_world_fleet(const ScenarioSpec& spec,
   }
 
   std::optional<task::Pool> pool;
-  if (options.workers != 1) pool.emplace(options.workers);
+  if (fleet.workers != 1) pool.emplace(fleet.workers);
 
-  const double lookahead = options.window_seconds > 0
-                               ? options.window_seconds
+  const double lookahead = fleet.window_seconds > 0
+                               ? fleet.window_seconds
                                : std::numeric_limits<double>::infinity();
   FleetRunReport report;
   report.windows = runner.run(pool ? &*pool : nullptr, lookahead);

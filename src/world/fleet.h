@@ -50,6 +50,6 @@ struct FleetRunReport {
 };
 
 FleetRunReport run_world_fleet(const ScenarioSpec& spec,
-                               const FleetOptions& options);
+                               const FleetOptions& fleet);
 
 }  // namespace acme::world

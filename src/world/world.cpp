@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <iomanip>
-#include <limits>
 #include <sstream>
 
 #include "common/check.h"
@@ -449,18 +448,6 @@ WorldReport World::run() {
   return finish();
 }
 
-WorldReport World::run_parallel(task::Pool& pool, double window_seconds) {
-  ACME_OBS_SPAN_ARG("world", "run_parallel", "scenario", spec_.name);
-  prepare();
-  sim::WindowRunner runner;
-  runner.add_partition(engine_, 0);
-  const double lookahead = window_seconds > 0
-                               ? window_seconds
-                               : std::numeric_limits<double>::infinity();
-  runner.run(&pool, lookahead);
-  return finish();
-}
-
 void World::save(snap::SnapshotWriter& w) const {
   ACME_CHECK_MSG(prepared_ && !finished_,
                  "World::save is valid only between prepare() and finish()");
@@ -611,26 +598,14 @@ WorldReport run_world(const ScenarioSpec& spec) { return World(spec).run(); }
 
 mc::ReplicaRun<WorldReport> run_world_mc(const ScenarioSpec& spec,
                                          const mc::ReplicationOptions& options) {
-  // replicas × workers composition: one shared drain pool, clamped so the
-  // two parallelism axes never oversubscribe the machine. Safe to share —
-  // each replica's WindowRunner spawns against its own WaitGroup — and
-  // digest-neutral: per-replica reports are byte-identical at any width.
-  const std::size_t workers = mc::effective_workers(options);
-  std::optional<task::Pool> pool;
-  if (workers > 1) pool.emplace(workers);
-  task::Pool* drain_pool = pool ? &*pool : nullptr;
-  mc::ReplicaRun<WorldReport> run = mc::run_replicas<WorldReport>(
-      options, [&spec, drain_pool](common::Rng& rng, std::size_t) {
+  return mc::run_replicas<WorldReport>(
+      options, [&spec](common::Rng& rng, std::size_t) {
         // Each replica re-seeds the whole scenario (trace synthesis, failure
         // arrivals, fleet sampling) from its own forked stream.
         ScenarioSpec replica_spec = spec;
         replica_spec.seed = rng.next();
-        World world(std::move(replica_spec));
-        if (drain_pool != nullptr) return world.run_parallel(*drain_pool);
-        return world.run();
+        return World(std::move(replica_spec)).run();
       });
-  run.timing.workers_used = workers;
-  return run;
 }
 
 }  // namespace acme::world

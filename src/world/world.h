@@ -39,8 +39,6 @@
 #include "sched/scheduler.h"
 #include "serve/fleet.h"
 #include "sim/engine.h"
-#include "sim/window.h"
-#include "task/task.h"
 #include "telemetry/fleet_sampler.h"
 #include "world/scenario.h"
 
@@ -118,18 +116,6 @@ class World {
   // Runs the scenario start-to-drain on the world's engine. Equivalent to
   // prepare() + engine().run() + finish().
   WorldReport run();
-
-  // run(), but the event spine drains through sim::WindowRunner on `pool`
-  // (what `--workers N` plumbs to). One World is ONE partition — a single
-  // coupled cluster cannot be split without changing scheduling decisions —
-  // so within a world the pool buys thread-boundary coverage, not speedup;
-  // multi-partition speedup comes from world::run_fleet and
-  // core::run_sharded_replay. `window_seconds` <= 0 drains in one window.
-  // The report digests byte-identical to run() at any worker count and any
-  // window size (the §13 invariant test_determinism pins), and the call
-  // composes with the snapshot protocol: a restored world may resume through
-  // run_parallel instead of run_until/finish.
-  WorldReport run_parallel(task::Pool& pool, double window_seconds = 0);
 
   // --- Incremental protocol (snapshot / fast-forward surface) ---
   //

@@ -261,48 +261,19 @@ TEST(Determinism, SnapshotOracleHyperscaleSmall) {
 // --- Parallel window runtime determinism matrix (DESIGN.md §13) ---
 //
 // The tentpole invariant: a world's report digest is byte-identical at any
-// window-drain pool width, for every scenario preset, straight or through a
-// snapshot-at-midpoint → restore → resume — and composing the window workers
-// under mc replication changes nothing either. Workers only move WHEN a
-// partition executes, never what it commits.
-
-std::uint64_t parallel_digest(const world::ScenarioSpec& spec,
-                              std::size_t workers) {
-  if (workers == 1) return world::World(spec).run().digest();
-  task::Pool pool(workers);
-  world::World w(spec);
-  return w.run_parallel(pool).digest();
-}
-
-std::uint64_t parallel_resumed_digest(const world::ScenarioSpec& spec,
-                                      double mid, std::size_t workers) {
-  world::World a(spec);
-  a.run_until(mid);
-  snap::SnapshotWriter w;
-  a.save(w);
-  snap::SnapshotReader r(w.finish());
-  world::World b(spec);
-  b.restore(r);
-  if (workers == 1) {
-    b.run_until(std::numeric_limits<double>::infinity());
-    return b.finish().digest();
-  }
-  task::Pool pool(workers);
-  return b.run_parallel(pool).digest();
-}
+// window-drain pool width, for every scenario preset. The world drains as
+// the single partition of a one-group fleet (run_world_fleet keeps the spec
+// verbatim for one group), so the pool really executes its windows. Workers
+// only move WHEN a partition executes, never what it commits.
 
 void expect_workers_matrix(const world::ScenarioSpec& spec) {
-  const world::WorldReport straight = world::World(spec).run();
-  const std::uint64_t oracle = straight.digest();
-  double mid = straight.replay.makespan * 0.5;
-  if (spec.serving()) mid = std::max(mid, spec.serve_duration_seconds * 0.5);
+  const std::uint64_t oracle = world::World(spec).run().digest();
   for (std::size_t workers : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-    EXPECT_EQ(parallel_digest(spec, workers), oracle)
+    EXPECT_EQ(
+        world::run_world_fleet(spec, {.workers = workers}).groups[0].digest(),
+        oracle)
         << spec.name << ": digest depends on window-drain width (workers="
         << workers << ")";
-    EXPECT_EQ(parallel_resumed_digest(spec, mid, workers), oracle)
-        << spec.name << ": snapshot->restore->parallel-resume diverged "
-        << "(workers=" << workers << ")";
   }
 }
 
@@ -341,32 +312,6 @@ TEST(Determinism, WorkersMatrixHyperscaleSmall) {
   world::ScenarioSpec spec = world::hyperscale_small_scenario();
   spec.fleet_samples = 500;
   expect_workers_matrix(spec);
-}
-
-TEST(Determinism, McComposedWithWindowWorkersMatchesSerial) {
-  world::ScenarioSpec spec = world::seren_scenario();
-  spec.scale = 40.0;
-  spec.fleet_samples = 500;
-  const auto fold = [&](std::size_t threads, std::size_t workers) {
-    mc::ReplicationOptions options;
-    options.replicas = 2;
-    options.threads = threads;
-    options.workers = workers;
-    options.seed = 20247;
-    const auto run = world::run_world_mc(spec, options);
-    std::uint64_t digest = 0;
-    for (const auto& report : run.results) digest ^= report.digest();
-    return digest;
-  };
-  const std::uint64_t serial = fold(1, 1);
-  // threads x workers composition (effective_workers may clamp on small
-  // boxes; the digest must not notice either way)...
-  EXPECT_EQ(fold(4, 2), serial)
-      << "mc(threads=4) x workers=2 diverged from serial";
-  // ...and the unclamped oversubscription path (threads=1 passes the width
-  // through verbatim, so this drains replicas at 8 workers on any box).
-  EXPECT_EQ(fold(1, 8), serial)
-      << "mc(threads=1) x workers=8 diverged from serial";
 }
 
 TEST(Determinism, FleetDigestIndependentOfWorkers) {

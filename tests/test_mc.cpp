@@ -1,13 +1,11 @@
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <set>
 #include <sstream>
-#include <thread>
+#include <stdexcept>
 
 #include "common/rng.h"
 #include "common/stats.h"
@@ -15,90 +13,9 @@
 #include "mc/aggregate.h"
 #include "mc/replication.h"
 #include "mc/report.h"
-#include "mc/thread_pool.h"
 
 namespace acme::mc {
 namespace {
-
-// ---------------------------------------------------------------- ThreadPool
-
-TEST(ThreadPool, RunsEverySubmittedTask) {
-  ThreadPool pool(4);
-  std::atomic<int> count{0};
-  for (int i = 0; i < 100; ++i) pool.submit([&] { ++count; });
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 100);
-}
-
-TEST(ThreadPool, SizeDefaultsToHardwareConcurrency) {
-  ThreadPool pool;
-  EXPECT_GE(pool.size(), 1u);
-}
-
-TEST(ThreadPool, ParallelForCoversEveryIndexExactlyOnce) {
-  ThreadPool pool(3);
-  std::vector<std::atomic<int>> hits(257);
-  pool.parallel_for(hits.size(), 10,
-                    [&](std::size_t i) { ++hits[i]; });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, ParallelForZeroItemsIsNoop) {
-  ThreadPool pool(2);
-  pool.parallel_for(0, 4, [](std::size_t) { FAIL(); });
-}
-
-TEST(ThreadPool, ChunkZeroIsTreatedAsOne) {
-  ThreadPool pool(2);
-  std::atomic<int> count{0};
-  pool.parallel_for(7, 0, [&](std::size_t) { ++count; });
-  EXPECT_EQ(count.load(), 7);
-}
-
-TEST(ThreadPool, CancelDropsPendingTasks) {
-  ThreadPool pool(1);
-  std::atomic<bool> release{false};
-  pool.submit([&] {
-    while (!release.load()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  });
-  for (int i = 0; i < 50; ++i) pool.submit([] {});
-  pool.cancel();
-  release = true;
-  pool.wait_idle();
-  EXPECT_TRUE(pool.cancelled());
-  EXPECT_GE(pool.dropped(), 1u);
-  // Submissions after cancel are dropped too.
-  const std::size_t before = pool.dropped();
-  pool.submit([] { FAIL(); });
-  EXPECT_EQ(pool.dropped(), before + 1);
-}
-
-TEST(ThreadPool, RunningTaskCanPollCancellation) {
-  ThreadPool pool(1);
-  std::atomic<bool> saw_cancel{false};
-  std::atomic<bool> started{false};
-  pool.submit([&] {
-    started = true;
-    while (!pool.cancelled())
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    saw_cancel = true;
-  });
-  while (!started.load()) std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  pool.cancel();
-  pool.wait_idle();
-  EXPECT_TRUE(saw_cancel.load());
-}
-
-TEST(ThreadPool, TaskExceptionRethrownFromWaitIdle) {
-  ThreadPool pool(2);
-  pool.submit([] { throw std::runtime_error("boom"); });
-  EXPECT_THROW(pool.wait_idle(), std::runtime_error);
-  // The pool stays usable afterwards.
-  std::atomic<int> count{0};
-  pool.submit([&] { ++count; });
-  pool.wait_idle();
-  EXPECT_EQ(count.load(), 1);
-}
 
 // ------------------------------------------------------------- P2 / metrics
 
@@ -236,6 +153,22 @@ TEST(ReplicationPlan, TimingAccountsEveryReplica) {
   EXPECT_GT(run.timing.speedup(), 0.0);
 }
 
+// A throwing replica surfaces from run() on the calling thread, whether the
+// replicas run inline or on the pool (task::WaitGroup exception transport).
+TEST(ReplicationPlan, ReplicaExceptionPropagatesFromRun) {
+  for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    ReplicationOptions options;
+    options.replicas = 8;
+    options.threads = threads;
+    const auto body = [](common::Rng&, std::size_t i) -> int {
+      if (i == 5) throw std::runtime_error("replica 5 failed");
+      return static_cast<int>(i);
+    };
+    EXPECT_THROW(run_replicas<int>(options, body), std::runtime_error)
+        << "threads=" << threads;
+  }
+}
+
 TEST(ReplicationPlan, SixMonthReplayMcIsDeterministic) {
   const auto setup = core::seren_setup();
   mc::ReplicationOptions serial;
@@ -334,6 +267,17 @@ TEST(McCli, RejectsUnknownFlagWithSuggestion) {
   EXPECT_FALSE(cli.has_value());
   EXPECT_NE(error.find("--replica"), std::string::npos);
   EXPECT_NE(error.find("--replicas"), std::string::npos);  // did-you-mean
+}
+
+TEST(McCli, RejectsWorkersFlag) {
+  // A world replica is one partition, so a per-replica drain pool buys
+  // nothing; the mc flags expose only the replica pool.
+  ReplicationOptions defaults;
+  const char* argv[] = {"bench", "--workers", "2"};
+  std::string error;
+  EXPECT_FALSE(parse_mc_cli_strict(3, const_cast<char**>(argv), defaults, &error)
+                   .has_value());
+  EXPECT_NE(error.find("--workers"), std::string::npos);
 }
 
 TEST(McCli, RejectsMissingValueAndBadNumber) {

@@ -12,6 +12,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <functional>
 #include <limits>
 #include <stdexcept>
 #include <thread>
@@ -57,6 +58,21 @@ TEST(TaskPool, ParallelForZeroAndTinyRanges) {
   EXPECT_EQ(count.load(), 3);
   pool.parallel_for(5, 0, [&](std::size_t) { count.fetch_add(1); });
   EXPECT_EQ(count.load(), 8);  // grain 0 is clamped to 1
+}
+
+// parallel_for keeps a pointer to the callable; a named lambda or a const
+// std::function reference (F deduced as an lvalue reference) must compile
+// and run exactly like a temporary.
+TEST(TaskPool, ParallelForAcceptsNamedCallable) {
+  task::Pool pool(3);
+  std::vector<std::atomic<int>> hits(50);
+  const auto bump = [&](std::size_t i) { hits[i].fetch_add(1); };
+  pool.parallel_for(hits.size(), 4, bump);
+  const std::function<void(std::size_t)> fn = bump;
+  const std::function<void(std::size_t)>& ref = fn;
+  pool.parallel_for(hits.size(), 0, ref);
+  for (std::size_t i = 0; i < hits.size(); ++i)
+    ASSERT_EQ(hits[i].load(), 2) << "index " << i;
 }
 
 TEST(TaskPool, SpawnRunsEveryTaskOnce) {
@@ -271,8 +287,8 @@ TEST(WindowPartitioner, MergedOrderEqualsSerialSingleHeapReference) {
 TEST(WindowPartitioner, DigestAccumulatesAcrossResumedRuns) {
   // Splitting one drain into run(); schedule-more; run() again must give the
   // same cumulative digest as the uninterrupted drain — the property that
-  // lets a restored world resume mid-stream (World::run_parallel). Insertion
-  // order is identical in both tellings, so the (time, seq) streams match.
+  // lets a partition resume mid-stream across run() calls. Insertion order
+  // is identical in both tellings, so the (time, seq) streams match.
   const auto schedule_batch = [](sim::Engine& e, int from, int to) {
     for (int i = from; i < to; ++i)
       e.schedule_at(i * 1.5, [] {});

@@ -1,9 +1,8 @@
 // ThreadSanitizer stress runner for acme::mc — a plain main (no gtest) so
-// the TSan CI job exercises the pool, the replication plan and concurrent
-// Rng::fork without any uninstrumented test-framework code in the picture.
-// Exits non-zero on any determinism violation; TSan itself fails the job on
-// a data race.
-#include <atomic>
+// the TSan CI job exercises the replication plan on its task::Pool and
+// concurrent Rng::fork without any uninstrumented test-framework code in the
+// picture. Exits non-zero on any determinism violation; TSan itself fails
+// the job on a data race.
 #include <cstdio>
 #include <thread>
 #include <vector>
@@ -11,7 +10,6 @@
 #include "common/rng.h"
 #include "mc/aggregate.h"
 #include "mc/replication.h"
-#include "mc/thread_pool.h"
 
 using namespace acme;
 
@@ -24,20 +22,6 @@ void check(bool ok, const char* what) {
     std::fprintf(stderr, "FAIL: %s\n", what);
     ++failures;
   }
-}
-
-void stress_pool() {
-  mc::ThreadPool pool(4);
-  std::atomic<long> sum{0};
-  for (int round = 0; round < 20; ++round) {
-    pool.parallel_for(500, 7, [&](std::size_t i) {
-      sum += static_cast<long>(i);
-    });
-  }
-  check(sum.load() == 20L * (499L * 500L / 2), "pool sums every index");
-  pool.cancel();
-  pool.submit([] {});
-  check(pool.dropped() >= 1, "post-cancel submit dropped");
 }
 
 void stress_replication() {
@@ -85,7 +69,6 @@ void stress_rng_fork() {
 }  // namespace
 
 int main() {
-  stress_pool();
   stress_replication();
   stress_rng_fork();
   if (failures == 0) std::printf("tsan_mc_stress: OK\n");

@@ -4,11 +4,11 @@
 // Randomized kill/recover/backfill churn at 8 workers: each iteration draws
 // a scenario mutation (seed, failure cadence, checkpoint interval, recovery
 // mode) and runs the full seren world — live Table 3 failure injection,
-// §6.1 recovery, scheduler backfill — once serially and once through
-// World::run_parallel on a shared 8-wide work-stealing pool, checking the
-// report digests byte-identical. A sharded-replay round (4-8 pods drained
-// concurrently on the same pool) covers the multi-partition merge, where
-// the actual cross-thread traffic lives. Exits non-zero on any digest
+// §6.1 recovery, scheduler backfill — once serially and once as a
+// one-group world::run_world_fleet on an 8-wide work-stealing pool, checking
+// the report digests byte-identical. A sharded-replay round (4-8 pods
+// drained concurrently on a shared pool) covers the multi-partition merge,
+// where the actual cross-thread traffic lives. Exits non-zero on any digest
 // divergence; TSan itself fails the job on a data race.
 #include <cstdio>
 #include <cstdlib>
@@ -45,12 +45,12 @@ world::ScenarioSpec mutate_spec(common::Rng& rng) {
   return spec;
 }
 
-void stress_world_churn(task::Pool& pool, common::Rng& rng) {
+void stress_world_churn(common::Rng& rng) {
   const world::ScenarioSpec spec = mutate_spec(rng);
   const world::WorldReport serial = world::run_world(spec);
-  world::World parallel_world(spec);
-  const world::WorldReport parallel = parallel_world.run_parallel(pool);
-  check(parallel.digest() == serial.digest(),
+  const world::FleetRunReport parallel =
+      world::run_world_fleet(spec, {.workers = 8});
+  check(parallel.groups[0].digest() == serial.digest(),
         "world digest identical at workers=8 (seed " +
             std::to_string(spec.seed) + ")");
   check(serial.failures_injected > 0,
@@ -98,7 +98,7 @@ int main(int argc, char** argv) {
   task::Pool pool(8);
   common::Rng rng(seed);
   for (std::uint64_t i = 0; i < iters; ++i) {
-    stress_world_churn(pool, rng);
+    stress_world_churn(rng);
     stress_sharded_replay(pool, rng);
     std::printf("tsan_replay_stress: iteration %llu/%llu ok\n",
                 static_cast<unsigned long long>(i + 1),

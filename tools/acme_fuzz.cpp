@@ -12,9 +12,10 @@
 //     restore → run-to-end and requires the two WorldReport digests to be
 //     byte-identical. Each iteration also draws a window-drain width from
 //     {1, 2, 8} (the workers mutation axis, DESIGN.md §13); widths > 1
-//     re-run the accepted mutant through World::run_parallel and require
-//     digest equality with the serial drain. Any divergence, thrown
-//     ACME_CHECK, or crash-by-exception is a finding.
+//     re-run the accepted mutant as a one-group world::run_world_fleet on a
+//     pool of that width and require digest equality with the serial
+//     drain. Any divergence, thrown ACME_CHECK, or crash-by-exception is a
+//     finding.
 //
 // Findings are shrunk greedily — each mutated field is reverted toward the
 // base spec while the failure persists — and the minimal reproducer (spec
@@ -73,9 +74,8 @@ OracleOutcome oracle_verdict(const world::ScenarioSpec& spec,
   // the parallel window runtime at this iteration's width.
   if (workers > 1) {
     try {
-      task::Pool pool(workers);
-      world::World parallel(spec);
-      const std::uint64_t par = parallel.run_parallel(pool).digest();
+      const std::uint64_t par =
+          world::run_world_fleet(spec, {.workers = workers}).groups[0].digest();
       if (par != straight_digest) {
         out.verdict = "parallel drain digest divergence (workers=" +
                       std::to_string(workers) + "): straight " +
