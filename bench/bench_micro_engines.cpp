@@ -77,15 +77,30 @@ void BM_VectorStoreQuery(benchmark::State& state) {
 }
 BENCHMARK(BM_VectorStoreQuery)->Arg(100)->Arg(2000);
 
-void BM_TraceSynthesis(benchmark::State& state) {
+trace::Trace seren_div64_trace() {
   auto profile = trace::scaled(trace::seren_profile(), 64.0);
   profile.cpu_jobs = 0;
-  for (auto _ : state) {
-    trace::TraceSynthesizer synth(profile);
-    benchmark::DoNotOptimize(synth.generate());
-  }
+  return trace::TraceSynthesizer(profile).generate();
 }
-BENCHMARK(BM_TraceSynthesis);
+
+// The 456,500-job hyperscale-50k trace: the size at which ordering the
+// generated records costs the most.
+trace::Trace hyperscale_50k_trace() {
+  return world::synthesize_trace(world::hyperscale_scenario(50048, 3));
+}
+
+void BM_TraceSynthesis(benchmark::State& state, trace::Trace (*synthesize)()) {
+  std::size_t jobs = 0;
+  for (auto _ : state) {
+    const trace::Trace trace = synthesize();
+    jobs = trace.size();
+    benchmark::DoNotOptimize(trace.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(jobs) * state.iterations());
+}
+BENCHMARK_CAPTURE(BM_TraceSynthesis, seren_div64, seren_div64_trace);
+BENCHMARK_CAPTURE(BM_TraceSynthesis, hyperscale_50k, hyperscale_50k_trace)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_SixMonthReplay(benchmark::State& state) {
   world::ScenarioSpec scenario = world::seren_scenario();

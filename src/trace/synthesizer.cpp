@@ -6,11 +6,33 @@
 
 #include "common/check.h"
 #include "common/units.h"
+#include "obs/obs.h"
 
 namespace acme::trace {
 
 using common::kDay;
 using common::kHour;
+
+namespace {
+
+// Trace order: submission time, ties broken by job id. Ids are unique, so the
+// order is total and any correct merge of ordered runs reproduces it exactly.
+bool submitted_before(const JobRecord& a, const JobRecord& b) {
+  if (a.submit_time != b.submit_time) return a.submit_time < b.submit_time;
+  return a.id < b.id;
+}
+
+// Merges the run out[mid, end), which one generator loop emitted, into the
+// already-ordered prefix out[0, mid). The run's order is checked first: a loop
+// change that breaks it must fail loudly, not mis-order the trace.
+void merge_run(Trace& out, std::size_t mid) {
+  const auto run = out.begin() + static_cast<std::ptrdiff_t>(mid);
+  ACME_CHECK_MSG(std::is_sorted(run, out.end(), submitted_before),
+                 "generator loop emitted records out of trace order");
+  std::inplace_merge(out.begin(), run, out.end(), submitted_before);
+}
+
+}  // namespace
 
 TraceSynthesizer::TraceSynthesizer(ClusterWorkloadProfile profile,
                                    SynthesizerOptions options)
@@ -55,9 +77,12 @@ Trace TraceSynthesizer::generate() const {
   common::Rng type_rng = rng.fork("types");
   common::Rng job_rng = rng.fork("jobs");
 
+  const std::size_t budget =
+      profile_.gpu_jobs + (options_.include_cpu_jobs ? profile_.cpu_jobs : 0);
+  ACME_OBS_SPAN_ARG("trace", "synthesize", "jobs", std::to_string(budget));
   const double horizon = profile_.trace_days * kDay;
   Trace out;
-  out.reserve(profile_.gpu_jobs + (options_.include_cpu_jobs ? profile_.cpu_jobs : 0));
+  out.reserve(budget);
 
   const bool campaigns_enabled = !profile_.pretrain_campaign_slots.empty();
 
@@ -115,6 +140,9 @@ Trace TraceSynthesizer::generate() const {
         tc += job.duration + gap;
       }
     }
+    // Each slot is ordered on its own, but the slots interleave. The block is
+    // ~1% of the trace, so a plain sort is cheap.
+    std::sort(out.begin(), out.end(), submitted_before);
   }
 
   // GPU jobs: thinning-based nonhomogeneous Poisson process whose base rate
@@ -139,6 +167,7 @@ Trace TraceSynthesizer::generate() const {
   }
   const double base_rate = n_events / (horizon * mean_intensity);
 
+  const std::size_t poisson_begin = out.size();
   double t = 0;
   while (t < horizon && out.size() < profile_.gpu_jobs) {
     t += arrival_rng.exponential(base_rate);
@@ -169,12 +198,14 @@ Trace TraceSynthesizer::generate() const {
       out.push_back(job);
     }
   }
+  merge_run(out, poisson_begin);
 
   if (options_.include_cpu_jobs) {
     common::Rng cpu_rng = rng.fork("cpu-jobs");
     const common::LognormalFromStats cpu_dur(60.0, 20 * common::kMinute);
     const double cpu_rate =
         static_cast<double>(profile_.cpu_jobs) / (horizon * mean_intensity);
+    const std::size_t cpu_begin = out.size();
     double tc = 0;
     std::size_t made = 0;
     while (tc < horizon && made < profile_.cpu_jobs) {
@@ -194,12 +225,8 @@ Trace TraceSynthesizer::generate() const {
       out.push_back(job);
       ++made;
     }
+    merge_run(out, cpu_begin);
   }
-
-  std::sort(out.begin(), out.end(), [](const JobRecord& a, const JobRecord& b) {
-    if (a.submit_time != b.submit_time) return a.submit_time < b.submit_time;
-    return a.id < b.id;
-  });
   return out;
 }
 

@@ -23,7 +23,7 @@ class TraceSynthesizer {
  public:
   TraceSynthesizer(ClusterWorkloadProfile profile, SynthesizerOptions options = {});
 
-  // Generates the full trace, sorted by submission time.
+  // Generates the full trace, ordered by (submission time, job id).
   Trace generate() const;
 
   const ClusterWorkloadProfile& profile() const { return profile_; }

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
+#include <vector>
 
+#include "common/rng.h"
 #include "common/units.h"
 #include "trace/analysis.h"
 #include "trace/comparison.h"
@@ -14,13 +17,12 @@ namespace {
 
 using common::kMinute;
 
-Trace seren_trace(double scale = 20.0) {
+Trace seren_trace() {
   static Trace cached = [] {
     auto profile = scaled(seren_profile(), 20.0);
     profile.cpu_jobs = 0;
     return TraceSynthesizer(profile).generate();
   }();
-  (void)scale;
   return cached;
 }
 
@@ -130,14 +132,71 @@ TEST(Synthesizer, DifferentSeedsDiffer) {
   EXPECT_NE(sum_a, sum_b);
 }
 
+bool submitted_before(const JobRecord& a, const JobRecord& b) {
+  if (a.submit_time != b.submit_time) return a.submit_time < b.submit_time;
+  return a.id < b.id;
+}
+
 TEST(Synthesizer, SubmissionsSortedWithinHorizon) {
   const auto trace = seren_trace();
+  // Strict (submit_time, id) order: equal submit times (an evaluation batch)
+  // keep ascending ids, and no id repeats.
   for (std::size_t i = 1; i < trace.size(); ++i)
-    ASSERT_LE(trace[i - 1].submit_time, trace[i].submit_time);
+    ASSERT_TRUE(submitted_before(trace[i - 1], trace[i])) << "at record " << i;
   for (const auto& j : trace) {
     ASSERT_GE(j.submit_time, 0.0);
     ASSERT_LE(j.submit_time, scaled(seren_profile(), 20.0).trace_days * common::kDay);
     ASSERT_GT(j.duration, 0.0);
+  }
+}
+
+// generate() merges the runs its generator loops emit; the result must equal
+// a full sort by (submit_time, id) of the same records, from any input order.
+TEST(Synthesizer, MatchesReferenceSortOrder) {
+  struct Case {
+    const char* name;
+    ClusterWorkloadProfile profile;
+    SynthesizerOptions options;
+  };
+  SynthesizerOptions gpu_only;
+  gpu_only.include_cpu_jobs = false;
+  SynthesizerOptions with_cpu;
+  with_cpu.include_cpu_jobs = true;
+  SynthesizerOptions single_evals = gpu_only;
+  single_evals.eval_batch_mean = 1.0;
+  auto no_campaigns = scaled(seren_profile(), 20.0);
+  no_campaigns.pretrain_campaign_slots.clear();
+  const std::vector<Case> cases = {
+      {"seren/20", scaled(seren_profile(), 20.0), gpu_only},
+      {"kalos", kalos_profile(), gpu_only},
+      {"seren/32 x4", amplified(scaled(seren_profile(), 32.0), 4.0), gpu_only},
+      {"seren/20 no campaigns", no_campaigns, gpu_only},
+      {"seren/20 with cpu jobs", scaled(seren_profile(), 20.0), with_cpu},
+      {"seren/20 single evals", scaled(seren_profile(), 20.0), single_evals},
+  };
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.name);
+    const Trace trace = TraceSynthesizer(c.profile, c.options).generate();
+    ASSERT_FALSE(trace.empty());
+    // Scramble before sorting so the reference never inherits generate()'s
+    // order.
+    Trace reference = trace;
+    common::Rng(7).shuffle(reference);
+    std::sort(reference.begin(), reference.end(), submitted_before);
+    ASSERT_EQ(trace.size(), reference.size());
+    for (std::size_t i = 0; i < trace.size(); ++i) {
+      const JobRecord& a = trace[i];
+      const JobRecord& b = reference[i];
+      ASSERT_EQ(a.id, b.id) << "at record " << i;
+      ASSERT_EQ(a.type, b.type);
+      ASSERT_EQ(a.status, b.status);
+      ASSERT_EQ(a.gpus, b.gpus);
+      ASSERT_EQ(a.cpus, b.cpus);
+      ASSERT_EQ(a.submit_time, b.submit_time);
+      ASSERT_EQ(a.duration, b.duration);
+      ASSERT_EQ(a.queue_delay, b.queue_delay);
+      ASSERT_EQ(a.model_tag_id, b.model_tag_id);
+    }
   }
 }
 

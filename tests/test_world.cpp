@@ -157,6 +157,41 @@ TEST(World, DigestCoversFleetTelemetry) {
   EXPECT_NE(nudged.digest(), base.digest());
 }
 
+// With obs on, trace synthesis shows up as its own span nested inside
+// world/run, and the run is observably identical to an obs-off run.
+TEST(World, ObsTraceNestsSynthesisInsideRun) {
+  const std::uint64_t untraced = failing_report().digest();
+  obs::reset();
+  obs::set_enabled(true);
+  const world::WorldReport traced = world::run_world(fast_seren(true));
+  obs::set_enabled(false);
+  const auto events = obs::tracer().events();
+  obs::reset();
+  EXPECT_EQ(traced.digest(), untraced);
+  EXPECT_FALSE(obs::TraceRecorder::well_formed_error(events).has_value());
+
+  using Phase = obs::TraceEvent::Phase;
+  auto find = [&](const char* category, const char* name, Phase phase) {
+    for (std::size_t i = 0; i < events.size(); ++i)
+      if (events[i].category == category && events[i].name == name &&
+          events[i].phase == phase)
+        return i;
+    ADD_FAILURE() << "no " << category << "/" << name << " event";
+    return events.size();
+  };
+  const std::size_t run_begin = find("world", "run", Phase::kBegin);
+  const std::size_t synth_begin = find("trace", "synthesize", Phase::kBegin);
+  const std::size_t synth_end = find("trace", "synthesize", Phase::kEnd);
+  const std::size_t run_end = find("world", "run", Phase::kEnd);
+  ASSERT_LT(run_end, events.size());
+  EXPECT_LT(run_begin, synth_begin);
+  EXPECT_LT(synth_begin, synth_end);
+  EXPECT_LT(synth_end, run_end);
+  EXPECT_EQ(events[synth_begin].tid, events[run_begin].tid);
+  ASSERT_EQ(events[synth_begin].args.size(), 1u);
+  EXPECT_EQ(events[synth_begin].args[0].first, "jobs");
+}
+
 TEST(World, ServeOnlyRunReportsFleetCounters) {
   world::ScenarioSpec spec = world::serve_seren_scenario();
   spec.name = "serve-unit";
