@@ -9,7 +9,8 @@ int main(int argc, char** argv) {
 
   // Integrate fleet power over a month at the replayed occupancy.
   common::Rng rng(33);
-  const auto cfg = core::fleet_config_from(core::seren_setup(), bench::seren_replay());
+  const auto cfg =
+      world::fleet_sampler_config(cluster::seren_spec(), bench::seren_replay());
   const auto metrics = telemetry::FleetSampler(cfg).sample(20000, rng);
   const double mean_server_w = metrics.server_power_w.mean();
   const int nodes = cluster::seren_spec().node_count;

@@ -8,7 +8,8 @@ int main(int argc, char** argv) {
   bench::header("Fig 21", "GPU core and memory temperature CDFs");
 
   common::Rng rng(21);
-  const auto cfg = core::fleet_config_from(core::kalos_setup(), bench::kalos_replay());
+  const auto cfg =
+      world::fleet_sampler_config(cluster::kalos_spec(), bench::kalos_replay());
   const auto metrics = telemetry::FleetSampler(cfg).sample(40000, rng);
 
   std::printf("%s\n",

@@ -57,8 +57,10 @@ int main(int argc, char** argv) {
                    "x");
 
   bench::header("Fig 2(b)", "CDF of GPU utilization across datacenters");
-  auto seren_cfg = core::fleet_config_from(core::seren_setup(), bench::seren_replay());
-  auto kalos_cfg = core::fleet_config_from(core::kalos_setup(), bench::kalos_replay());
+  auto seren_cfg =
+      world::fleet_sampler_config(cluster::seren_spec(), bench::seren_replay());
+  auto kalos_cfg =
+      world::fleet_sampler_config(cluster::kalos_spec(), bench::kalos_replay());
   common::Rng urng(3);
   const auto seren_m = telemetry::FleetSampler(seren_cfg).sample(30000, urng);
   const auto kalos_m = telemetry::FleetSampler(kalos_cfg).sample(30000, urng);

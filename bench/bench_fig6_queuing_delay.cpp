@@ -68,19 +68,19 @@ int main(int argc, char** argv) {
   }
 
   // Multi-seed replication of the Seren replay (1/8 job scale per replica).
-  const auto setup = core::seren_setup();
-  const auto run = core::run_six_month_replay_mc(setup, cli.options, 8.0);
+  const auto run = world::run_world_mc(
+      bench::replay_scenario(world::seren_scenario()), cli.options);
 
   mc::MetricAggregator eval_median_h, pretrain_median_s, over_day_pct;
-  mc::fold_metric(run, [](const core::SixMonthReplay& r) {
+  mc::fold_metric(run, [](const world::WorldReport& r) {
     return trace::queue_delays_of(r.replay.jobs, trace::WorkloadType::kEvaluation)
                .median() / common::kHour;
   }, eval_median_h);
-  mc::fold_metric(run, [](const core::SixMonthReplay& r) {
+  mc::fold_metric(run, [](const world::WorldReport& r) {
     return trace::queue_delays_of(r.replay.jobs, trace::WorkloadType::kPretrain)
         .median();
   }, pretrain_median_s);
-  mc::fold_metric(run, [](const core::SixMonthReplay& r) {
+  mc::fold_metric(run, [](const world::WorldReport& r) {
     return 100.0 * (1.0 - trace::durations(r.replay.jobs).cdf(common::kDay));
   }, over_day_pct);
 

@@ -10,9 +10,9 @@ int main(int argc, char** argv) {
 
   common::Rng rng(7);
   const auto seren_cfg =
-      core::fleet_config_from(core::seren_setup(), bench::seren_replay());
+      world::fleet_sampler_config(cluster::seren_spec(), bench::seren_replay());
   const auto kalos_cfg =
-      core::fleet_config_from(core::kalos_setup(), bench::kalos_replay());
+      world::fleet_sampler_config(cluster::kalos_spec(), bench::kalos_replay());
   const auto seren = telemetry::FleetSampler(seren_cfg).sample(40000, rng);
   const auto kalos = telemetry::FleetSampler(kalos_cfg).sample(40000, rng);
 

@@ -10,7 +10,8 @@ int main(int argc, char** argv) {
   // Average over the fleet's operating points: GPUs at their fleet-mean
   // power, CPUs at their fleet-mean utilization.
   common::Rng rng(9);
-  const auto cfg = core::fleet_config_from(core::seren_setup(), bench::seren_replay());
+  const auto cfg =
+      world::fleet_sampler_config(cluster::seren_spec(), bench::seren_replay());
   const auto metrics = telemetry::FleetSampler(cfg).sample(20000, rng);
   cluster::ServerPowerModel model(cluster::seren_spec().node);
   const auto split =

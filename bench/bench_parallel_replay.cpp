@@ -58,7 +58,7 @@ struct DrainResult {
   std::uint64_t digest = 0;  // shard outcomes + merged commit stream
 };
 
-DrainResult drain_once(const core::ClusterSetup& setup,
+DrainResult drain_once(const world::ClusterInputs& inputs,
                        const std::vector<trace::Trace>& slices,
                        task::Pool* pool, double lookahead,
                        std::size_t reserve_commits) {
@@ -67,7 +67,7 @@ DrainResult drain_once(const core::ClusterSetup& setup,
   pods.reserve(shards);
   for (std::size_t s = 0; s < shards; ++s) {
     pods.push_back(std::make_unique<sched::SchedulerReplay>(
-        setup.spec, setup.sched_config));
+        inputs.spec, inputs.sched_config));
     pods[s]->begin_replay(trace::Trace(slices[s]));
   }
   sim::WindowRunner runner;
@@ -85,21 +85,29 @@ DrainResult drain_once(const core::ClusterSetup& setup,
   out.wall = std::chrono::duration<double>(t1 - t0).count();
   out.events = stats.events;
 
-  // Digest: per-shard outcomes in shard order, then the merged commit
-  // stream — byte-identical across drains iff the runtime changed nothing
-  // observable (same fold ShardedReplay::digest uses).
+  // Digest, folded after the measured region: per-shard outcomes in shard
+  // order (makespan, unstarted count, job count, then every job's id and
+  // queue delay), then the merged commit stream — byte-identical across
+  // drains iff the runtime changed nothing observable.
   common::Fnv1a fold;
   const auto fold_u64 = [&fold](std::uint64_t v) {
     fold.update(std::string_view(reinterpret_cast<const char*>(&v), sizeof v));
   };
+  const auto fold_f64 = [&fold_u64](double v) {
+    std::uint64_t bits;
+    static_assert(sizeof bits == sizeof v);
+    std::memcpy(&bits, &v, sizeof bits);
+    fold_u64(bits);
+  };
   for (std::size_t s = 0; s < shards; ++s) {
     const sched::ReplayResult result = pods[s]->finish_replay();
-    std::uint64_t makespan_bits;
-    static_assert(sizeof makespan_bits == sizeof result.makespan);
-    std::memcpy(&makespan_bits, &result.makespan, sizeof makespan_bits);
-    fold_u64(makespan_bits);
+    fold_f64(result.makespan);
     fold_u64(result.unstarted);
     fold_u64(result.jobs.size());
+    for (const trace::JobRecord& job : result.jobs) {
+      fold_u64(job.id);
+      fold_f64(job.queue_delay);
+    }
   }
   fold_u64(runner.commit_digest());
   out.digest = fold.digest();
@@ -158,10 +166,10 @@ int main(int argc, char** argv) {
               static_cast<unsigned long long>(workers),
               static_cast<unsigned long long>(reps), cores);
 
-  core::ClusterSetup setup = core::seren_setup();
   world::ScenarioSpec scenario = world::seren_scenario();
   scenario.scale = scale;
   scenario.seed = seed;
+  const world::ClusterInputs inputs = world::cluster_inputs(scenario);
   const trace::Trace jobs = world::synthesize_trace(scenario);
   const std::vector<trace::Trace> slices = sched::shard_trace(jobs, shards);
   std::printf("trace: %zu jobs -> %zu per shard (round-robin)\n", jobs.size(),
@@ -173,11 +181,11 @@ int main(int argc, char** argv) {
   // runner's commit logs and the pool's task rings; also yields the commit
   // count the measured runs reserve against.
   const DrainResult warm_serial =
-      drain_once(setup, slices, nullptr, lookahead, 0);
+      drain_once(inputs, slices, nullptr, lookahead, 0);
   const std::size_t reserve_commits =
       static_cast<std::size_t>(warm_serial.events) + 1024;
   const DrainResult warm_parallel =
-      drain_once(setup, slices, &pool, lookahead, reserve_commits);
+      drain_once(inputs, slices, &pool, lookahead, reserve_commits);
   if (warm_parallel.digest != warm_serial.digest) {
     std::fprintf(stderr,
                  "bench_parallel_replay: warm-up digest divergence — the "
@@ -189,9 +197,9 @@ int main(int argc, char** argv) {
   std::uint64_t parallel_allocs = 0;
   for (std::uint64_t rep = 0; rep < reps; ++rep) {
     const DrainResult s =
-        drain_once(setup, slices, nullptr, lookahead, reserve_commits);
+        drain_once(inputs, slices, nullptr, lookahead, reserve_commits);
     const DrainResult p =
-        drain_once(setup, slices, &pool, lookahead, reserve_commits);
+        drain_once(inputs, slices, &pool, lookahead, reserve_commits);
     if (s.digest != warm_serial.digest || p.digest != warm_serial.digest) {
       std::fprintf(stderr,
                    "bench_parallel_replay: digest divergence on rep %llu — "

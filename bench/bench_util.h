@@ -192,18 +192,25 @@ inline world::WorldReport run_world_snapshot_aware(
   return world::run_world(spec);
 }
 
-// The six-month replays shared by the characterization benches, resolved
-// from the world scenario presets (Seren 1/8 job scale, Kalos full) so the
-// benches, tests and acme::world all replay the same assemblies.
-inline const core::SixMonthReplay& seren_replay() {
-  static const core::SixMonthReplay replay =
-      core::run_scenario_replay(world::seren_scenario());
+// The six-month replays shared by the characterization benches: the world
+// scenario presets (Seren 1/8 job scale, Kalos full) run failure-free. Fleet
+// telemetry is off; the benches that need it sample their own through
+// world::fleet_sampler_config.
+inline world::ScenarioSpec replay_scenario(world::ScenarioSpec spec) {
+  spec.inject_failures = false;
+  spec.fleet_samples = 0;
+  return spec;
+}
+
+inline const world::WorldReport& seren_replay() {
+  static const world::WorldReport replay =
+      world::run_world(replay_scenario(world::seren_scenario()));
   return replay;
 }
 
-inline const core::SixMonthReplay& kalos_replay() {
-  static const core::SixMonthReplay replay =
-      core::run_scenario_replay(world::kalos_scenario());
+inline const world::WorldReport& kalos_replay() {
+  static const world::WorldReport replay =
+      world::run_world(replay_scenario(world::kalos_scenario()));
   return replay;
 }
 

@@ -12,12 +12,19 @@ using namespace acme;
 int main(int argc, char** argv) {
   std::printf("== six-month Acme replay (Seren at 1/8 job scale, Kalos full) ==\n");
 
-  const auto seren = core::run_six_month_replay(core::seren_setup(), 8.0);
-  const auto kalos = core::run_six_month_replay(core::kalos_setup(), 1.0);
+  // Failure-free worlds: the trace replayed through the scheduler alone,
+  // without the fleet-telemetry sampling this example never reads.
+  const auto quiet_replay = [](world::ScenarioSpec spec) {
+    spec.inject_failures = false;
+    spec.fleet_samples = 0;
+    return world::run_world(spec);
+  };
+  const auto seren = quiet_replay(world::seren_scenario());
+  const auto kalos = quiet_replay(world::kalos_scenario());
 
   struct Entry {
     const char* name;
-    const core::SixMonthReplay* replay;
+    const world::WorldReport* replay;
   };
   for (const auto& [name, replay] : {Entry{"Seren", &seren}, Entry{"Kalos", &kalos}}) {
     const auto& jobs = replay->replay.jobs;

@@ -14,15 +14,11 @@
 // reproducible.
 #pragma once
 
-#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <ctime>
 #include <functional>
-#include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/check.h"
@@ -143,52 +139,6 @@ ReplicaRun<Result> run_replicas(
     const ReplicationOptions& options,
     const std::function<Result(common::Rng&, std::size_t)>& body) {
   return ReplicationPlan<Result>(options, body).run();
-}
-
-// Worker-scoped scratch reuse: replicas borrow a Scratch from a pool sized
-// to the concurrency and return it when done (LIFO, so consecutive replicas
-// on a thread get the warm one back). The contract is capacity-only reuse —
-// the body must fully reinitialize any state it reads, which keeps results
-// bit-identical no matter which scratch a replica drew. This is what lets a
-// Monte Carlo sweep recycle million-record replay buffers (engines, per-job
-// runtime tables) instead of regrowing them for every replica.
-template <typename Result, typename Scratch>
-ReplicaRun<Result> run_replicas_scratch(
-    const ReplicationOptions& options,
-    const std::function<Result(common::Rng&, std::size_t, Scratch&)>& body) {
-  const std::size_t workers =
-      options.threads == 1
-          ? 1
-          : (options.threads > 0
-                 ? options.threads
-                 : std::max<std::size_t>(1, std::thread::hardware_concurrency()));
-  struct Pool {
-    std::mutex mu;
-    std::vector<Scratch> scratches;
-    std::vector<std::size_t> free_slots;
-  };
-  auto pool = std::make_shared<Pool>();
-  pool->scratches.resize(std::max<std::size_t>(
-      1, std::min(workers, options.replicas)));
-  for (std::size_t i = pool->scratches.size(); i-- > 0;)
-    pool->free_slots.push_back(i);
-
-  return run_replicas<Result>(
-      options, [pool, body](common::Rng& rng, std::size_t i) -> Result {
-        std::size_t slot;
-        {
-          std::lock_guard<std::mutex> lock(pool->mu);
-          // Never empty: at most `workers` replicas run at once.
-          slot = pool->free_slots.back();
-          pool->free_slots.pop_back();
-        }
-        Result result = body(rng, i, pool->scratches[slot]);
-        {
-          std::lock_guard<std::mutex> lock(pool->mu);
-          pool->free_slots.push_back(slot);
-        }
-        return result;
-      });
 }
 
 // Folds a per-replica scalar metric into a streaming aggregator in replica

@@ -5,9 +5,9 @@
 // is priced — as plain data. Specs round-trip through a flat JSON object, so
 // scenario files can drive the bench harness, and a process-wide registry
 // lets benches/tests refer to scenarios by name. The seren/kalos presets are
-// the same assemblies core::seren_setup()/kalos_setup() hand out; keeping
-// them here (below core in the target graph) is what lets core, the bench
-// helpers and the world driver share one definition instead of three.
+// the one definition of the Acme cluster assemblies: the world driver, the
+// characterization benches (which run them with inject_failures off) and the
+// tests all resolve their cluster, trace and scheduler from here.
 #pragma once
 
 #include <cstdint>

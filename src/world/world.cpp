@@ -47,6 +47,17 @@ void observe_failure(double stall_seconds, double lost_gpu_seconds) {
 
 }  // namespace
 
+telemetry::FleetSamplerConfig fleet_sampler_config(
+    const cluster::ClusterSpec& hardware, const WorldReport& report) {
+  telemetry::FleetSamplerConfig config;
+  config.spec = hardware;
+  config.busy_fraction = report.busy_fraction;
+  for (const auto& [type, share] : trace::type_shares(report.replay.jobs))
+    if (share.gpu_time_fraction > 0)
+      config.gputime_mix[type] = share.gpu_time_fraction;
+  return config;
+}
+
 serve::ServeConfig serve_config(const ScenarioSpec& spec) {
   ACME_CHECK_MSG(spec.serving(), "scenario configures no serving fleet");
   serve::ServeConfig cfg;
@@ -428,13 +439,8 @@ WorldReport World::finish() {
 
   // Fleet telemetry sampled from what the shared engine actually ran.
   if (spec_.fleet_samples > 0) {
-    telemetry::FleetSamplerConfig fleet_config;
-    fleet_config.spec = inputs_.spec;
-    fleet_config.busy_fraction = report_.busy_fraction;
-    for (const auto& [type, share] : trace::type_shares(report_.replay.jobs))
-      if (share.gpu_time_fraction > 0)
-        fleet_config.gputime_mix[type] = share.gpu_time_fraction;
-    telemetry::FleetSampler sampler(std::move(fleet_config));
+    telemetry::FleetSampler sampler(
+        fleet_sampler_config(inputs_.spec, report_));
     common::Rng fleet_rng = common::Rng(spec_.seed).fork("world-fleet");
     report_.fleet = sampler.sample(spec_.fleet_samples, fleet_rng);
   }

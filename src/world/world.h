@@ -104,6 +104,13 @@ struct WorldReport {
   std::uint64_t digest() const;
 };
 
+// The fleet-telemetry sampler a finished replay calibrates: `hardware`'s
+// node model, occupancy from the report's busy fraction, workload mix from
+// the replayed jobs' GPU-time shares. World::finish and every bench that
+// samples fleet telemetry from a replay share this one definition.
+telemetry::FleetSamplerConfig fleet_sampler_config(
+    const cluster::ClusterSpec& hardware, const WorldReport& report);
+
 // The serve::ServeConfig a scenario resolves to — the single mapping the
 // world driver, the serve benches and the tests all share. Requires
 // spec.serving().

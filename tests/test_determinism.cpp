@@ -22,8 +22,8 @@ struct Snapshot {
   std::uint64_t digest;
 };
 
-// Runs the (downscaled) Seren six-month replay through the mc engine with
-// obs enabled and returns the registry bytes. Resets obs state afterwards so
+// Runs the (downscaled) failure-free Seren six-month replay through
+// run_world_mc with obs enabled and returns the registry bytes. Resets obs state afterwards so
 // tests can call it repeatedly.
 Snapshot replay_snapshot(std::size_t threads) {
   obs::reset();
@@ -32,8 +32,11 @@ Snapshot replay_snapshot(std::size_t threads) {
   options.replicas = 4;
   options.threads = threads;
   options.seed = 20240;
-  const auto run =
-      core::run_six_month_replay_mc(core::seren_setup(), options, 40.0);
+  world::ScenarioSpec spec = world::seren_scenario();
+  spec.scale = 40.0;
+  spec.inject_failures = false;
+  spec.fleet_samples = 0;
+  const auto run = world::run_world_mc(spec, options);
   EXPECT_EQ(run.results.size(), 4u);
   Snapshot snap;
   snap.prom = obs::metrics().prometheus_text();

@@ -9,15 +9,24 @@ namespace {
 
 using common::kMinute;
 
-const core::SixMonthReplay& seren_replay() {
-  static const core::SixMonthReplay replay =
-      core::run_six_month_replay(core::seren_setup(), 20.0);
+// Failure-free replays with no fleet telemetry: the bare trace -> scheduler
+// composition, read off a World.
+world::WorldReport quiet_replay(world::ScenarioSpec spec, double scale) {
+  spec.scale = scale;
+  spec.inject_failures = false;
+  spec.fleet_samples = 0;
+  return world::run_world(spec);
+}
+
+const world::WorldReport& seren_replay() {
+  static const world::WorldReport replay =
+      quiet_replay(world::seren_scenario(), 20.0);
   return replay;
 }
 
-const core::SixMonthReplay& kalos_replay() {
-  static const core::SixMonthReplay replay =
-      core::run_six_month_replay(core::kalos_setup(), 4.0);
+const world::WorldReport& kalos_replay() {
+  static const world::WorldReport replay =
+      quiet_replay(world::kalos_scenario(), 4.0);
   return replay;
 }
 
@@ -47,7 +56,8 @@ TEST(SixMonth, EvalDelaysLongestInBothClusters) {
 }
 
 TEST(SixMonth, FleetConfigDerivedFromReplay) {
-  const auto config = core::fleet_config_from(core::kalos_setup(), kalos_replay());
+  const auto config =
+      world::fleet_sampler_config(cluster::kalos_spec(), kalos_replay());
   EXPECT_EQ(config.spec.name, "Kalos");
   EXPECT_GT(config.busy_fraction, 0.5);
   ASSERT_TRUE(config.gputime_mix.count(trace::WorkloadType::kPretrain));
@@ -128,7 +138,8 @@ TEST(Environmental, SixMonthEnergyAndCarbonPlausible) {
   // Integrate server power over the replayed occupancy to an energy figure
   // in the neighborhood of the paper's 673 MWh/month for Seren.
   const auto& replay = seren_replay();
-  const auto config = core::fleet_config_from(core::seren_setup(), replay);
+  const auto config =
+      world::fleet_sampler_config(cluster::seren_spec(), replay);
   telemetry::FleetSampler sampler(config);
   common::Rng rng(3);
   const auto metrics = sampler.sample(4000, rng);

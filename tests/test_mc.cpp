@@ -9,10 +9,10 @@
 
 #include "common/rng.h"
 #include "common/stats.h"
-#include "core/experiments.h"
 #include "mc/aggregate.h"
 #include "mc/replication.h"
 #include "mc/report.h"
+#include "world/world.h"
 
 namespace acme::mc {
 namespace {
@@ -170,15 +170,18 @@ TEST(ReplicationPlan, ReplicaExceptionPropagatesFromRun) {
 }
 
 TEST(ReplicationPlan, SixMonthReplayMcIsDeterministic) {
-  const auto setup = core::seren_setup();
+  // Heavy downscale: distributions unchanged, runtime trivial.
+  world::ScenarioSpec spec = world::seren_scenario();
+  spec.scale = 64.0;
+  spec.inject_failures = false;
+  spec.fleet_samples = 0;
   mc::ReplicationOptions serial;
   serial.replicas = 2;
   serial.threads = 1;
   mc::ReplicationOptions parallel = serial;
   parallel.threads = 4;
-  // Heavy downscale: distributions unchanged, runtime trivial.
-  const auto a = core::run_six_month_replay_mc(setup, serial, 64.0);
-  const auto b = core::run_six_month_replay_mc(setup, parallel, 64.0);
+  const auto a = world::run_world_mc(spec, serial);
+  const auto b = world::run_world_mc(spec, parallel);
   ASSERT_EQ(a.results.size(), b.results.size());
   for (std::size_t i = 0; i < a.results.size(); ++i) {
     EXPECT_EQ(a.results[i].busy_fraction, b.results[i].busy_fraction);

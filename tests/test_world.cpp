@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <limits>
 #include <string>
 
@@ -247,20 +248,77 @@ TEST(Scenario, RegistryServesPresetsAndCustomSpecs) {
   EXPECT_NE(std::find(names.begin(), names.end(), "kalos-quiet"), names.end());
 }
 
+// A failure-free replay at `scale`/`seed` with no fleet telemetry: the bare
+// trace -> scheduler composition the characterization figures read.
+world::ScenarioSpec quiet_replay(world::ScenarioSpec spec, double scale,
+                                 std::uint64_t seed) {
+  spec.scale = scale;
+  spec.seed = seed;
+  spec.inject_failures = false;
+  spec.fleet_samples = 0;
+  return spec;
+}
+
 TEST(Scenario, FractionalScaleMatchesDivisorForm) {
   // 0.125 of the trace and 1/8-scale are the same replay.
-  const auto setup = core::seren_setup();
-  const auto divisor = core::run_six_month_replay(setup, 40.0, 900.0, 7);
-  const auto fraction = core::run_six_month_replay(setup, 0.025, 900.0, 7);
+  const auto divisor =
+      world::run_world(quiet_replay(world::seren_scenario(), 40.0, 7));
+  const auto fraction =
+      world::run_world(quiet_replay(world::seren_scenario(), 0.025, 7));
   ASSERT_EQ(divisor.replay.jobs.size(), fraction.replay.jobs.size());
   EXPECT_EQ(divisor.replay.makespan, fraction.replay.makespan);
   EXPECT_EQ(divisor.busy_fraction, fraction.busy_fraction);
 }
 
 TEST(Scenario, NonPositiveScaleRejected) {
-  const auto setup = core::seren_setup();
-  EXPECT_THROW(core::run_six_month_replay(setup, 0.0), common::CheckError);
-  EXPECT_THROW(core::run_six_month_replay(setup, -2.0), common::CheckError);
+  const world::ScenarioSpec seren = world::seren_scenario();
+  EXPECT_THROW(world::run_world(quiet_replay(seren, 0.0, 42)),
+               common::CheckError);
+  EXPECT_THROW(world::run_world(quiet_replay(seren, -2.0, 42)),
+               common::CheckError);
+}
+
+// With failures off the world's shared-spine replay is exactly the bare
+// scheduler replaying the scenario's trace on its own engine: same makespan,
+// occupancy timeline, per-job queue delays and busy fraction. This is what
+// lets the characterization benches read their replays from a World.
+TEST(World, FailureFreeRunMatchesBareSchedulerReplay) {
+  for (const world::ScenarioSpec& preset :
+       {world::seren_scenario(), world::kalos_scenario()}) {
+    for (const double scale : {40.0, 64.0}) {
+      for (const std::uint64_t seed : {42ull, 7ull}) {
+        SCOPED_TRACE(preset.name + " scale " + std::to_string(scale) +
+                     " seed " + std::to_string(seed));
+        const world::ScenarioSpec spec = quiet_replay(preset, scale, seed);
+        const world::WorldReport report = world::run_world(spec);
+        const world::ClusterInputs inputs = world::cluster_inputs(spec);
+        sched::SchedulerReplay bare(inputs.spec, inputs.sched_config);
+        const sched::ReplayResult replay = bare.replay(
+            world::synthesize_trace(spec), spec.sample_interval_seconds);
+
+        EXPECT_EQ(report.replay.makespan, replay.makespan);
+        ASSERT_EQ(report.replay.occupancy.size(), replay.occupancy.size());
+        EXPECT_EQ(std::memcmp(report.replay.occupancy.data(),
+                              replay.occupancy.data(),
+                              replay.occupancy.size() *
+                                  sizeof(replay.occupancy[0])),
+                  0);
+        ASSERT_EQ(report.replay.jobs.size(), replay.jobs.size());
+        for (std::size_t i = 0; i < replay.jobs.size(); ++i) {
+          const trace::JobRecord& job = report.replay.jobs[i];
+          ASSERT_EQ(job.id, replay.jobs[i].id);
+          ASSERT_EQ(job.queue_delay, replay.jobs[i].queue_delay)
+              << "job " << job.id;
+        }
+        double busy = 0, total = 0;
+        for (const auto& s : replay.occupancy) {
+          busy += s.busy_gpus;
+          total += s.total_gpus;
+        }
+        EXPECT_EQ(report.busy_fraction, busy / total);
+      }
+    }
+  }
 }
 
 TEST(Scenario, ParserRejectsNonFiniteNumbers) {

@@ -6,9 +6,10 @@
 // mode) and runs the full seren world — live Table 3 failure injection,
 // §6.1 recovery, scheduler backfill — once serially and once as a
 // one-group world::run_world_fleet on an 8-wide work-stealing pool, checking
-// the report digests byte-identical. A sharded-replay round (4-8 pods
-// drained concurrently on a shared pool) covers the multi-partition merge,
-// where the actual cross-thread traffic lives. Exits non-zero on any digest
+// the report digests byte-identical. A multi-group round (4-8 churny worlds
+// in one run_world_fleet, drained concurrently on an 8-wide pool against the
+// workers=1 drain) covers the multi-partition merge, where the actual
+// cross-thread traffic lives. Exits non-zero on any digest or event-count
 // divergence; TSan itself fails the job on a data race.
 #include <cstdio>
 #include <cstdlib>
@@ -58,20 +59,21 @@ void stress_world_churn(common::Rng& rng) {
             std::to_string(spec.seed) + ")");
 }
 
-void stress_sharded_replay(task::Pool& pool, common::Rng& rng) {
-  const core::ClusterSetup setup = core::seren_setup();
-  const std::uint64_t seed = rng.next();
-  const std::size_t shards = 4 + static_cast<std::size_t>(rng.uniform_int(0, 4));
+void stress_fleet_groups(common::Rng& rng) {
+  world::ScenarioSpec spec = mutate_spec(rng);
+  spec.scale = 1024;  // per group; 4-8 groups keep the drain TSan-sized
+  const int groups = 4 + static_cast<int>(rng.uniform_int(0, 4));
   const double window = rng.uniform() < 0.5
                             ? rng.uniform(3600.0, 7 * 24 * 3600.0)
                             : 0;  // 0 = one window drains all
-  const core::ShardedReplay serial =
-      core::run_sharded_replay(setup, 256, seed, shards, nullptr, window);
-  const core::ShardedReplay parallel =
-      core::run_sharded_replay(setup, 256, seed, shards, &pool, window);
+  const world::FleetRunReport serial = world::run_world_fleet(
+      spec, {.groups = groups, .workers = 1, .window_seconds = window});
+  const world::FleetRunReport parallel = world::run_world_fleet(
+      spec, {.groups = groups, .workers = 8, .window_seconds = window});
   check(parallel.digest() == serial.digest(),
-        "sharded replay digest identical at workers=8 (seed " +
-            std::to_string(seed) + ", " + std::to_string(shards) + " shards)");
+        "fleet digest identical at workers=8 (seed " +
+            std::to_string(spec.seed) + ", " + std::to_string(groups) +
+            " groups)");
   check(parallel.windows.events == serial.windows.events,
         "event counts identical across drains");
 }
@@ -82,7 +84,7 @@ int main(int argc, char** argv) {
   std::uint64_t iters = 4;
   std::uint64_t seed = 42;
   common::FlagSet flags("tsan_replay_stress");
-  flags.add("--iters", &iters, "churn iterations (each runs world + shards)");
+  flags.add("--iters", &iters, "churn iterations (each runs world + fleet)");
   flags.add("--seed", &seed, "base seed for the mutation stream");
   std::string error;
   if (!flags.parse(argc, argv, &error)) {
@@ -95,11 +97,10 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  task::Pool pool(8);
   common::Rng rng(seed);
   for (std::uint64_t i = 0; i < iters; ++i) {
     stress_world_churn(rng);
-    stress_sharded_replay(pool, rng);
+    stress_fleet_groups(rng);
     std::printf("tsan_replay_stress: iteration %llu/%llu ok\n",
                 static_cast<unsigned long long>(i + 1),
                 static_cast<unsigned long long>(iters));
