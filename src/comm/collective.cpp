@@ -356,21 +356,21 @@ double CollectiveModel::bringup_seconds(const World& w) const {
   return t;
 }
 
-double CollectiveModel::probe_round_seconds(int probe_nodes,
+double CollectiveModel::probe_round_seconds(int node_count,
                                             double probe_bytes) const {
-  ACME_CHECK(probe_nodes > 0);
+  ACME_CHECK(node_count > 0);
   ACME_CHECK(probe_bytes > 0);
   // All worlds of the round rendezvous through one launcher, so bring-up
   // scales with the probe set; the data phase is the slowest (three-node)
   // world's all-gather, run hierarchically like the production test does.
-  const int world_nodes = std::min(probe_nodes, 3);
+  const int world_nodes = std::min(node_count, 3);
   World probe_world;
   probe_world.gpus = world_nodes * topo_.gpus_per_node();
   const double gather =
       all_gather(probe_world, probe_bytes,
                  world_nodes > 1 ? Algorithm::kHierarchical : Algorithm::kRing)
           .seconds();
-  return kBringupBaseSeconds + kBringupPerNodeSeconds * probe_nodes + gather;
+  return kBringupBaseSeconds + kBringupPerNodeSeconds * node_count + gather;
 }
 
 double CollectiveModel::probe_round_seconds(const cluster::NodeId* probe,

@@ -72,11 +72,11 @@ class CollectiveModel {
   // hard-coded.
   double bringup_seconds(const World& w) const;
 
-  // One round of §6.1-3 fault localization: `probe_nodes` nodes are split
+  // One round of §6.1-3 fault localization: `node_count` nodes are split
   // into 2-3-node worlds that run a probe all-gather in parallel. The round
   // pays the bring-up across the whole probe set (every world rendezvouses
   // through the same launcher) plus the slowest world's all-gather.
-  double probe_round_seconds(int probe_nodes,
+  double probe_round_seconds(int node_count,
                              double probe_bytes = 128.0 * 1024 * 1024) const;
   // Explicit-set variant: the slowest member and any datacenter crossings
   // come from the actual probe set instead of an assumed [0, n) span.

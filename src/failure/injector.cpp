@@ -96,13 +96,12 @@ const PretrainPool& pretrain_pool() {
 
 }  // namespace
 
-FailureEvent FailureInjector::sample_pretrain_failure(int gpus,
-                                                      common::Rng& rng) const {
+FailureEvent FailureInjector::sample_pretrain_failure(common::Rng& rng) const {
   // Mid-run pretraining failures: infrastructure rows plus the framework rows
   // the paper ties to long runs (Dataloader Killed, OOM, loss-scaling).
   const PretrainPool& pool = pretrain_pool();
   const FailureSpec* spec = pool.specs[rng.categorical(pool.weights)];
-  return {spec, sample_ttf(*spec, rng), sample_ttr(*spec, rng), gpus};
+  return {spec, sample_ttf(*spec, rng), sample_ttr(*spec, rng)};
 }
 
 const DomainFailureSpec& FailureInjector::sample_domain_failure(

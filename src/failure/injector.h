@@ -28,10 +28,10 @@ class FailureInjector {
   FailureEvent sample(common::Rng& rng) const;
   FailureEvent sample_for_cluster(bool kalos, common::Rng& rng) const;
 
-  // For a long-running pretraining job of `gpus` GPUs: the reason mix is
-  // restricted to failures observed mid-run on large jobs (infrastructure +
-  // heavyweight framework rows), and only TTF/TTR are sampled.
-  FailureEvent sample_pretrain_failure(int gpus, common::Rng& rng) const;
+  // For a long-running pretraining job: the reason mix is restricted to
+  // failures observed mid-run on large jobs (infrastructure + heavyweight
+  // framework rows), and only TTF/TTR are sampled (gpu_demand stays 0).
+  FailureEvent sample_pretrain_failure(common::Rng& rng) const;
 
   // TTF sampler for a given reason (seconds).
   double sample_ttf(const FailureSpec& spec, common::Rng& rng) const;

@@ -17,7 +17,6 @@ using common::kMinute;
 FaultTolerantRunner::FaultTolerantRunner(RunnerConfig config)
     : config_(std::move(config)), injector_(config_.seed) {
   ACME_CHECK(config_.gpus > 0 && config_.step_seconds > 0);
-  if (config_.fabric) comm_.emplace(*config_.fabric);
   std::vector<const failure::FailureSpec*> specs;
   for (const auto& s : failure::failure_table()) specs.push_back(&s);
   agent_.seed_rules(specs);
@@ -71,23 +70,16 @@ double FaultTolerantRunner::recovery_stall(const failure::FailureSpec& spec,
   // Automatic path: diagnose from the (synthesized) runtime log, then run
   // fault detection if the verdict calls for it.
   auto log = log_synth_.failed_run(spec, rng);
-  diagnosis::FilterRules rules;  // per-job rules; compression is cheap here
   const auto diagnosis = agent_.diagnose(log.lines);
   if (diagnosis.reason == spec.reason) ++report.diagnosis_correct;
 
   double stall = 45.0;  // log collection + agent latency
   if (diagnosis.needs_node_detection ||
       (diagnosis.reason.empty() && spec.needs_node_detection)) {
-    // Probe the job's actual nodes when the caller listed them; the
-    // contiguous [0, nodes) default keeps fabric-less and single-pod
-    // behaviour unchanged.
-    std::vector<cluster::NodeId> probe = config_.probe_nodes;
-    if (probe.empty()) {
-      const int nodes = std::max(1, config_.gpus / 8);
-      probe.resize(static_cast<std::size_t>(nodes));
-      for (int i = 0; i < nodes; ++i) probe[static_cast<std::size_t>(i)] = i;
-    }
-    const int nodes = static_cast<int>(probe.size());
+    // Probe the job's nodes, numbered [0, nodes).
+    const int nodes = std::max(1, config_.gpus / 8);
+    std::vector<cluster::NodeId> probe(static_cast<std::size_t>(nodes));
+    for (int i = 0; i < nodes; ++i) probe[static_cast<std::size_t>(i)] = i;
     const int bad =
         static_cast<int>(rng.uniform_int(0, 1)) + 1;  // 1-2 faulty nodes
     auto faulty = [&](cluster::NodeId id) { return id < bad; };
@@ -95,8 +87,7 @@ double FaultTolerantRunner::recovery_stall(const failure::FailureSpec& spec,
     {
       ACME_OBS_SPAN_ARG("recovery", "two_round_localize", "nodes",
                         std::to_string(nodes));
-      localization = comm_ ? two_round_localize(probe, faulty, *comm_)
-                           : two_round_localize(probe, faulty);
+      localization = two_round_localize(probe, faulty, comm_);
     }
     if (obs::enabled()) {
       static obs::Counter& localizations = obs::metrics().counter(
@@ -118,16 +109,11 @@ double FaultTolerantRunner::recovery_stall(const failure::FailureSpec& spec,
     ++report.manual_interventions;
     stall += injector_.sample_ttr(spec, rng) * 0.5;
   }
-  // Scheduler resubmit + NCCL bring-up of the full training world. The
-  // fabric model lands on ~90 s for the 2048-GPU scale (the value this used
-  // to hard-code); without a fabric, that flat 90 s is the fallback.
-  if (comm_) {
-    comm::World job_world;
-    job_world.gpus = config_.gpus;
-    stall += comm_->bringup_seconds(job_world);
-  } else {
-    stall += 90.0;
-  }
+  // Scheduler resubmit + NCCL bring-up of the full training world (~90 s at
+  // the 2048-GPU scale).
+  comm::World job_world;
+  job_world.gpus = config_.gpus;
+  stall += comm_.bringup_seconds(job_world);
   *detail = spec.reason + " -> " +
             (diagnosis.reason.empty() ? std::string("undiagnosed")
                                       : diagnosis.reason + " [" + diagnosis.source + "]");
@@ -147,7 +133,7 @@ RunnerReport FaultTolerantRunner::run() {
 
   double next_spike = rng.exponential(1.0 / config_.loss_spike_mean_interval);
   double next_pause = rng.exponential(1.0 / config_.user_pause_mean_interval);
-  auto next_failure_event = injector_.sample_pretrain_failure(config_.gpus, rng);
+  auto next_failure_event = injector_.sample_pretrain_failure(rng);
   double next_failure = next_failure_event.ttf_seconds *
                         config_.mean_failure_interval_scale;
 
@@ -220,7 +206,7 @@ RunnerReport FaultTolerantRunner::run() {
         }
         report.events.push_back(event);
         report.progress.emplace_back(t, step);
-        next_failure_event = injector_.sample_pretrain_failure(config_.gpus, rng);
+        next_failure_event = injector_.sample_pretrain_failure(rng);
         next_failure =
             next_failure_event.ttf_seconds * config_.mean_failure_interval_scale;
         continue;
@@ -238,7 +224,7 @@ RunnerReport FaultTolerantRunner::run() {
       report.time_recovery += stall;
       event.stall_seconds = stall;
       since_ckpt = 0;
-      next_failure_event = injector_.sample_pretrain_failure(config_.gpus, rng);
+      next_failure_event = injector_.sample_pretrain_failure(rng);
       next_failure =
           next_failure_event.ttf_seconds * config_.mean_failure_interval_scale;
     } else if (next_spike <= 1e-9) {
@@ -265,7 +251,6 @@ RunnerReport FaultTolerantRunner::run() {
       next_spike = rng.exponential(1.0 / config_.loss_spike_mean_interval);
     } else {
       event.kind = "pause";
-      double lost_progress = 0;
       if (config_.graceful_cancel) {
         // Save before terminating: no steps lost.
         ledger.record(step + 1, t, t + persist_lag);
@@ -275,10 +260,8 @@ RunnerReport FaultTolerantRunner::run() {
         const std::uint64_t resume = durable ? durable->step : 0;
         event.steps_lost = step - resume;
         report.steps_lost_to_rollback += event.steps_lost;
-        lost_progress = static_cast<double>(event.steps_lost);
         step = resume;
       }
-      (void)lost_progress;
       const double stall = rng.uniform(1 * kHour, 4 * kHour);  // user adjusts config
       ++report.manual_interventions;  // pauses are user-driven by definition
       t += stall;

@@ -6,7 +6,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -43,15 +42,6 @@ struct RunnerConfig {
   double mean_failure_interval_scale = 1.0;  // stretch TTFs for ablations
   double loss_spike_mean_interval = 5 * 24 * 3600.0;
   double user_pause_mean_interval = 2 * 24 * 3600.0;
-  // Fabric used to price fault-localization rounds and the post-restart NCCL
-  // bring-up. nullopt falls back to the legacy flat 90 s per round / per
-  // bring-up, so fabric-less callers keep the old behaviour.
-  std::optional<comm::FabricConfig> fabric = comm::kalos_fabric();
-  // Explicit probe set for fault localization. Empty = the historical
-  // contiguous [0, gpus/8) span; non-contiguous multi-pod placements list
-  // their actual nodes so slowest-member pacing and datacenter crossings
-  // price correctly (the span form was a latent contiguity assumption).
-  std::vector<cluster::NodeId> probe_nodes;
   std::uint64_t seed = 2024;
 };
 
@@ -98,7 +88,9 @@ class FaultTolerantRunner {
   static bool is_night(double t);
 
   RunnerConfig config_;
-  std::optional<comm::CollectiveModel> comm_;
+  // Kalos fabric: prices fault-localization rounds and the post-restart NCCL
+  // bring-up of the job's world.
+  comm::CollectiveModel comm_{comm::kalos_fabric()};
   ckpt::CheckpointTimingModel timing_;
   failure::FailureInjector injector_;
   failure::LogSynthesizer log_synth_;

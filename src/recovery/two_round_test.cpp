@@ -93,8 +93,8 @@ TwoRoundResult two_round_localize(
     const std::vector<cluster::NodeId>& nodes,
     const std::function<bool(cluster::NodeId)>& is_faulty,
     const comm::CollectiveModel& model) {
-  return localize_impl(nodes, is_faulty, [&model](int probe_nodes) {
-    return model.probe_round_seconds(probe_nodes);
+  return localize_impl(nodes, is_faulty, [&model](int node_count) {
+    return model.probe_round_seconds(node_count);
   });
 }
 

@@ -31,8 +31,7 @@ struct TwoRoundResult {
 
 // `is_faulty` answers whether a node is faulty; `nodes` is the probe set.
 // `per_round_seconds` is the flat cost of one all-gather round (default:
-// NCCL bring-up + test on a full-scale world, ~90 s — the documented
-// fallback when no fabric model is supplied).
+// NCCL bring-up + test on a full-scale world, ~90 s).
 TwoRoundResult two_round_localize(const std::vector<cluster::NodeId>& nodes,
                                   const std::function<bool(cluster::NodeId)>& is_faulty,
                                   double per_round_seconds = 90.0);

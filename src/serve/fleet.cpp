@@ -373,18 +373,6 @@ void ServeFleet::rewarm_fire(int r) {
 
 namespace {
 
-void write_rng_state(snap::SnapshotWriter& w, const common::RngState& s) {
-  for (int i = 0; i < 4; ++i) w.write_u64(s.words[i]);
-  w.write_u64(s.seed_material);
-}
-
-common::RngState read_rng_state(snap::SnapshotReader& r) {
-  common::RngState s;
-  for (int i = 0; i < 4; ++i) s.words[i] = r.read_u64();
-  s.seed_material = r.read_u64();
-  return s;
-}
-
 void write_streaming_stats(snap::SnapshotWriter& w,
                            const common::StreamingStats& stats) {
   const common::StreamingStats::State s = stats.state();
@@ -434,8 +422,8 @@ void read_p2(snap::SnapshotReader& r, mc::P2Quantile& q) {
 void ServeFleet::save(snap::SnapshotWriter& w) const {
   w.begin_section("serve.fleet");
   const ArrivalProcess::State ap = arrivals_.state();
-  write_rng_state(w, ap.rng);
-  write_rng_state(w, ap.state_rng);
+  snap::write_rng_state(w, ap.rng);
+  snap::write_rng_state(w, ap.state_rng);
   w.write_bool(ap.burst);
   w.write_f64(ap.state_until);
   w.write_u64(arrival_event_.raw());
@@ -496,8 +484,8 @@ void ServeFleet::restore(snap::SnapshotReader& r) {
                  "(start() never called)");
   r.enter_section("serve.fleet");
   ArrivalProcess::State ap;
-  ap.rng = read_rng_state(r);
-  ap.state_rng = read_rng_state(r);
+  ap.rng = snap::read_rng_state(r);
+  ap.state_rng = snap::read_rng_state(r);
   ap.burst = r.read_bool();
   ap.state_until = r.read_f64();
   arrivals_.set_state(ap);

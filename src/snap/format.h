@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "common/rng.h"
 
 namespace acme::snap {
 
@@ -165,5 +166,19 @@ class SnapshotReader {
   std::uint32_t version_ = 0;
   bool in_section_ = false;
 };
+
+// The one codec for a random stream's POD state: four xoshiro words, then
+// the seed material, each a tagged u64.
+inline void write_rng_state(SnapshotWriter& w, const common::RngState& s) {
+  for (int i = 0; i < 4; ++i) w.write_u64(s.words[i]);
+  w.write_u64(s.seed_material);
+}
+
+inline common::RngState read_rng_state(SnapshotReader& r) {
+  common::RngState s;
+  for (int i = 0; i < 4; ++i) s.words[i] = r.read_u64();
+  s.seed_material = r.read_u64();
+  return s;
+}
 
 }  // namespace acme::snap

@@ -122,8 +122,10 @@ void Pool::worker_loop(std::size_t self) {
   for (;;) {
     Task t;
     if (try_pop_own(self, t) || try_steal(self, t)) {
-      t();
+      // Counted before it runs: the task's WaitGroup::done() then publishes
+      // the count to whoever waits on the group.
       tasks_run_.fetch_add(1, std::memory_order_relaxed);
+      t();
       continue;
     }
     std::unique_lock<std::mutex> lk(idle_mu_);

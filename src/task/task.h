@@ -165,6 +165,8 @@ class Pool {
   }
 
   // Diagnostics (relaxed counters; exact once the pool is quiescent).
+  // tasks_run() counts a task as it starts, so it already covers every task
+  // of a group whose wait() has returned.
   std::uint64_t tasks_run() const {
     return tasks_run_.load(std::memory_order_relaxed);
   }

@@ -140,24 +140,13 @@ void World::construct_subsystems(trace::Trace& pretrain_jobs, bool synthesize) {
     fleet_.emplace(engine_, scfg, spec_.seed);
   }
 
-  // Reason-mix hint for the sampler: the largest pretraining campaign in the
-  // trace (failure demand concentrates on the big jobs, §5.1).
-  campaign_gpus_ = 256;
   if (spec_.pretrain) {
-    if (synthesize) {
-      pretrain_jobs = synthesize_trace(spec_);
-      for (const auto& job : pretrain_jobs)
-        if (job.type == trace::WorkloadType::kPretrain)
-          campaign_gpus_ = std::max(campaign_gpus_, job.gpus);
-    }
+    if (synthesize) pretrain_jobs = synthesize_trace(spec_);
     sched_.emplace(engine_, sched_spec_, inputs_.sched_config);
-  } else if (fleet_) {
-    campaign_gpus_ = std::max(campaign_gpus_, fleet_->config().total_gpus());
   }
 
   // Failure machinery: reason/TTF/TTR sampling off the Table 3 fits, stalls
   // priced by the collective model and the checkpoint timing model.
-  injector_.emplace(spec_.seed);
   failure_rng_ = common::Rng(spec_.seed).fork("world-failures");
   fabric_.emplace(inputs_.fabric);
   gpus_per_node_ = std::max(1, inputs_.spec.node.gpus);
@@ -209,7 +198,7 @@ void World::prepare() {
 void World::arm_next_failure() {
   if (sched_ && sched_->drained()) return;
   const failure::FailureEvent next =
-      injector_->sample_pretrain_failure(campaign_gpus_, failure_rng_);
+      injector_.sample_pretrain_failure(failure_rng_);
   const double delay = next.ttf_seconds * spec_.failure_interval_scale;
   if (!sched_ && engine_.now() + delay > spec_.serve_duration_seconds) return;
   failure_event_ = engine_.schedule_after(delay, [this] { fire_failure(); });
@@ -221,34 +210,21 @@ void World::fire_failure() {
     const int victim = static_cast<int>(failure_rng_.uniform_int(
         0, static_cast<std::int64_t>(fleet_->replicas()) - 1));
     const failure::FailureEvent event =
-        injector_->sample_pretrain_failure(campaign_gpus_, failure_rng_);
+        injector_.sample_pretrain_failure(failure_rng_);
     if (!fleet_->replica_up(victim)) {
       // The fault landed on a replica already down for re-warm.
       ++report_.failures_no_victim;
       arm_next_failure();
       return;
     }
-    // Re-warm mirrors §6.1 recovery at replica scale: weight reload (priced
-    // like a checkpoint read of the inference state), diagnosis, two-round
-    // localization for hardware faults, NCCL bring-up at the replica's world
-    // size — or the manual on-call TTR.
+    // Re-warm is the §6.1 restart at replica scale, with the weight reload
+    // priced like a checkpoint read of the inference state.
     const serve::ServeConfig& scfg = fleet_->config();
-    const comm::World replica_world{scfg.hw.gpus, 0, 0, 1};
-    const double reload = ckpt_timing_.async_persist_seconds(
-        scfg.model.params(), std::max(scfg.hw.gpus, 1));
-    double rewarm = reload;
-    if (spec_.auto_recovery) {
-      rewarm += 45.0;  // log collection + diagnosis-agent latency
-      if (event.spec != nullptr && event.spec->needs_node_detection) {
-        const int nodes = std::max(1, scfg.hw.gpus / gpus_per_node_);
-        rewarm += 2 * fabric_->probe_round_seconds(nodes);
-        ++report_.localizations;
-      }
-      rewarm += fabric_->bringup_seconds(replica_world);
-    } else {
-      rewarm += event.ttr_seconds;
-      ++report_.manual_recoveries;
-    }
+    const double rewarm =
+        restart_stall(scfg.hw.gpus, scfg.model.params(),
+                      fault_localize_nodes(event, scfg.hw.gpus),
+                      event.ttr_seconds)
+            .seconds;
     fleet_->kill_replica(victim, rewarm);
     ++report_.failures_injected;
     report_.recovery_stall_seconds += rewarm;
@@ -265,52 +241,68 @@ void World::fire_failure() {
     return;
   }
   const failure::FailureEvent event =
-      injector_->sample_pretrain_failure(campaign_gpus_, failure_rng_);
+      injector_.sample_pretrain_failure(failure_rng_);
   const std::size_t victim = running[static_cast<std::size_t>(
       failure_rng_.uniform_int(0, static_cast<std::int64_t>(running.size()) - 1))];
-  const trace::JobRecord& job = sched_->active_job(victim);
-  const double params = params_for_tag(job.model_tag_id);
-  const comm::World victim_world{job.gpus, 0, 0, 1};
+  kill_pretrain_job(
+      victim, fault_localize_nodes(event, sched_->active_job(victim).gpus),
+      event.ttr_seconds,
+      event.spec != nullptr &&
+          event.spec->category == failure::FailureCategory::kInfrastructure);
+  ++report_.failures_injected;
+  arm_next_failure();
+}
 
-  // Recovery stall (§6.1): diagnosis, localization for hardware faults, NCCL
-  // bring-up at the victim's world size, checkpoint reload — or the manual
-  // on-call TTR when the automation is off.
-  const double reload =
-      ckpt_timing_.async_persist_seconds(params, std::max(job.gpus, 1));
-  double stall = reload;
+World::RestartStall World::restart_stall(int gpus, double params,
+                                         int localize_nodes,
+                                         double manual_ttr) {
+  RestartStall stall;
+  stall.reload = ckpt_timing_.async_persist_seconds(params, std::max(gpus, 1));
+  stall.seconds = stall.reload;
   if (spec_.auto_recovery) {
-    stall += 45.0;  // log collection + diagnosis-agent latency
-    if (event.spec != nullptr && event.spec->needs_node_detection) {
-      const int nodes = std::max(1, job.gpus / gpus_per_node_);
-      stall += 2 * fabric_->probe_round_seconds(nodes);
+    stall.seconds += 45.0;  // log collection + diagnosis-agent latency
+    if (localize_nodes > 0) {
+      stall.seconds += 2 * fabric_->probe_round_seconds(localize_nodes);
       ++report_.localizations;
     }
-    stall += fabric_->bringup_seconds(victim_world);
+    stall.seconds += fabric_->bringup_seconds(comm::World{gpus, 0, 0, 1});
   } else {
-    stall += event.ttr_seconds;
+    stall.seconds += manual_ttr;
     ++report_.manual_recoveries;
   }
+  return stall;
+}
+
+int World::fault_localize_nodes(const failure::FailureEvent& event,
+                                int gpus) const {
+  if (event.spec == nullptr || !event.spec->needs_node_detection) return 0;
+  return std::max(1, gpus / gpus_per_node_);
+}
+
+void World::kill_pretrain_job(std::size_t victim, int localize_nodes,
+                              double manual_ttr, bool infra) {
+  const trace::JobRecord& job = sched_->active_job(victim);
+  const int gpus = job.gpus;
+  const RestartStall stall = restart_stall(
+      gpus, params_for_tag(job.model_tag_id), localize_nodes, manual_ttr);
 
   // Rollback window: the checkpoint interval, extended by the async persist
   // lag (the newest snapshot may not be durable yet).
   double rollback_cap = spec_.ckpt_interval_seconds;
-  if (spec_.async_ckpt) rollback_cap += reload;
+  if (spec_.async_ckpt) rollback_cap += stall.reload;
 
   const double lost_before = sched_->partial_result().failure_lost_gpu_seconds;
-  sched_->kill_job(victim, rollback_cap, stall);
+  sched_->kill_job(victim, rollback_cap, stall.seconds);
   const double lost_now =
       sched_->partial_result().failure_lost_gpu_seconds - lost_before;
 
-  ++report_.failures_injected;
-  report_.recovery_stall_seconds += stall;
-  report_.stall_gpu_seconds += stall * job.gpus;
-  if (event.spec != nullptr &&
-      event.spec->category == failure::FailureCategory::kInfrastructure) {
+  report_.recovery_stall_seconds += stall.seconds;
+  report_.stall_gpu_seconds += stall.seconds * gpus;
+  if (infra) {
     ++report_.infra_failures;
-    report_.infra_lost_gpu_seconds += lost_now + stall * job.gpus;
+    report_.infra_lost_gpu_seconds += lost_now + stall.seconds * gpus;
   }
-  if (obs::enabled()) observe_failure(stall, lost_now);
-  arm_next_failure();
+  if (obs::enabled()) observe_failure(stall.seconds, lost_now);
 }
 
 // The domain-outage chain (Table 2 correlated infrastructure events): sample
@@ -320,10 +312,10 @@ void World::fire_failure() {
 void World::arm_next_domain_failure() {
   if (sched_->drained()) return;
   const failure::DomainFailureSpec& row =
-      injector_->sample_domain_failure(domain_rng_);
+      injector_.sample_domain_failure(domain_rng_);
   domain_reason_ = static_cast<std::uint32_t>(
       &row - failure::domain_failure_table().data());
-  const double delay = injector_->sample_domain_ttf(row, domain_rng_) *
+  const double delay = injector_.sample_domain_ttf(row, domain_rng_) *
                        spec_.domain_failure_interval_scale;
   domain_event_ = engine_.schedule_after(delay, [this] { fire_domain_failure(); });
 }
@@ -339,43 +331,16 @@ void World::fire_domain_failure() {
       domain_rng_.uniform_int(0, static_cast<std::int64_t>(candidates.size()) - 1))];
   const int first = static_cast<int>(domain_tree_.first_node(victim));
   const int count = domain_tree_.domain_nodes(victim);
-  const double ttr = injector_->sample_domain_ttr(row, domain_rng_);
+  const double ttr = injector_.sample_domain_ttr(row, domain_rng_);
 
   // Cordon the whole subtree first so nothing killed below can re-land on a
   // dead node, then kill every resident job in this one injection.
   sched_->cordon_nodes(first, count);
   sched_->running_jobs_on_nodes(first, count, domain_scratch_);
-  for (const std::size_t resident : domain_scratch_) {
-    const trace::JobRecord& job = sched_->active_job(resident);
-    const double params = params_for_tag(job.model_tag_id);
-    const comm::World victim_world{job.gpus, 0, 0, 1};
-    const double reload =
-        ckpt_timing_.async_persist_seconds(params, std::max(job.gpus, 1));
-    double stall = reload;
-    if (spec_.auto_recovery) {
-      stall += 45.0;  // log collection + diagnosis-agent latency
-      // Domain outages are hardware by definition: localization probes the
-      // whole cordoned subtree, so TTR grows with the blast radius.
-      stall += 2 * fabric_->probe_round_seconds(count);
-      ++report_.localizations;
-      stall += fabric_->bringup_seconds(victim_world);
-    } else {
-      stall += ttr;
-      ++report_.manual_recoveries;
-    }
-    double rollback_cap = spec_.ckpt_interval_seconds;
-    if (spec_.async_ckpt) rollback_cap += reload;
-    const double lost_before =
-        sched_->partial_result().failure_lost_gpu_seconds;
-    sched_->kill_job(resident, rollback_cap, stall);
-    const double lost_now =
-        sched_->partial_result().failure_lost_gpu_seconds - lost_before;
-    report_.recovery_stall_seconds += stall;
-    report_.stall_gpu_seconds += stall * job.gpus;
-    ++report_.infra_failures;
-    report_.infra_lost_gpu_seconds += lost_now + stall * job.gpus;
-    if (obs::enabled()) observe_failure(stall, lost_now);
-  }
+  // Domain outages are hardware by definition: localization probes the
+  // whole cordoned subtree, so TTR grows with the blast radius.
+  for (const std::size_t resident : domain_scratch_)
+    kill_pretrain_job(resident, count, ttr, /*infra=*/true);
 
   ++report_.domain_failures_injected;
   if (domain_scratch_.empty()) ++report_.domain_failures_no_victim;
@@ -461,9 +426,7 @@ void World::save(snap::SnapshotWriter& w) const {
   w.write_string(spec_.to_json());
   w.end_section();
   w.begin_section("world.run");
-  const common::RngState rng = failure_rng_.state();
-  for (int i = 0; i < 4; ++i) w.write_u64(rng.words[i]);
-  w.write_u64(rng.seed_material);
+  snap::write_rng_state(w, failure_rng_.state());
   w.write_u64(failure_event_.raw());
   w.write_i64(report_.failures_injected);
   w.write_i64(report_.failures_no_victim);
@@ -478,9 +441,7 @@ void World::save(snap::SnapshotWriter& w) const {
   // scenarios keep the exact pre-hierarchy snapshot layout.
   if (domain_enabled_) {
     w.begin_section("world.domain");
-    const common::RngState drng = domain_rng_.state();
-    for (int i = 0; i < 4; ++i) w.write_u64(drng.words[i]);
-    w.write_u64(drng.seed_material);
+    snap::write_rng_state(w, domain_rng_.state());
     w.write_u64(domain_event_.raw());
     w.write_u64(domain_down_);
     w.write_u64(domain_reason_);
@@ -513,9 +474,7 @@ void World::restore(snap::SnapshotReader& r) {
                  "snapshot was taken from a different scenario than this "
                  "world's spec (use snapshot_spec() to recover the right one)");
   r.enter_section("world.run");
-  common::RngState rng;
-  for (int i = 0; i < 4; ++i) rng.words[i] = r.read_u64();
-  rng.seed_material = r.read_u64();
+  const common::RngState rng = snap::read_rng_state(r);
   const std::uint64_t failure_raw = r.read_u64();
   report_.failures_injected = static_cast<int>(r.read_i64());
   report_.failures_no_victim = static_cast<int>(r.read_i64());
@@ -536,10 +495,7 @@ void World::restore(snap::SnapshotReader& r) {
   std::uint64_t domain_raw = 0;
   if (domain_enabled_) {
     r.enter_section("world.domain");
-    common::RngState drng;
-    for (int i = 0; i < 4; ++i) drng.words[i] = r.read_u64();
-    drng.seed_material = r.read_u64();
-    domain_rng_.set_state(drng);
+    domain_rng_.set_state(snap::read_rng_state(r));
     domain_raw = r.read_u64();
     domain_down_ = static_cast<cluster::DomainId>(r.read_u64());
     domain_reason_ = static_cast<std::uint32_t>(r.read_u64());
@@ -551,12 +507,7 @@ void World::restore(snap::SnapshotReader& r) {
     r.leave_section();
   }
   engine_.restore(r);
-  if (sched_) {
-    sched_->restore_replay(r);
-    for (const auto& job : sched_->jobs())
-      if (job.type == trace::WorkloadType::kPretrain)
-        campaign_gpus_ = std::max(campaign_gpus_, job.gpus);
-  }
+  if (sched_) sched_->restore_replay(r);
   if (fleet_) fleet_->restore(r);
   failure_event_ = sim::EventHandle::from_raw(failure_raw);
   if (failure_event_.valid())

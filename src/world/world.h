@@ -176,6 +176,27 @@ class World {
   void fire_domain_failure();
   void repair_domain();
 
+  // The §6.1 restart every fault pays, whatever its scope: checkpoint (or
+  // weight) reload of `params` sharded over `gpus`, then either diagnosis,
+  // two-round localization over `localize_nodes` nodes (0 = no hardware
+  // probe) and NCCL bring-up at `gpus`, or the on-call `manual_ttr` when
+  // recovery is manual. Counts localizations and manual recoveries.
+  struct RestartStall {
+    double seconds = 0;  // total stall, reload included
+    double reload = 0;   // checkpoint reload alone
+  };
+  RestartStall restart_stall(int gpus, double params, int localize_nodes,
+                             double manual_ttr);
+  // Nodes a job-scoped fault localizes over: the victim's own nodes for a
+  // hardware fault, none otherwise.
+  int fault_localize_nodes(const failure::FailureEvent& event, int gpus) const;
+  // Kills running pretraining job `victim`: prices its restart, rolls it back
+  // at most a checkpoint interval (plus the async persist lag), and charges
+  // the stall, the lost work and, for an infrastructure fault, the infra
+  // slice. The caller counts the fault itself.
+  void kill_pretrain_job(std::size_t victim, int localize_nodes,
+                         double manual_ttr, bool infra);
+
   ScenarioSpec spec_;
   ClusterInputs inputs_;
   sim::Engine engine_;
@@ -187,11 +208,12 @@ class World {
   cluster::ClusterSpec sched_spec_;
   std::optional<serve::ServeFleet> fleet_;
   std::optional<sched::SchedulerReplay> sched_;
-  std::optional<failure::FailureInjector> injector_;
+  // Samplers only: its own seed goes unused, every draw comes from
+  // failure_rng_ or domain_rng_.
+  failure::FailureInjector injector_;
   std::optional<comm::CollectiveModel> fabric_;
   ckpt::CheckpointTimingModel ckpt_timing_;
   common::Rng failure_rng_;
-  int campaign_gpus_ = 256;
   int gpus_per_node_ = 1;
   double serve_share_ = 0.0;
   // Pending failure-chain event; cleared at fire so valid() <=> pending.

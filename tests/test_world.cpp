@@ -6,7 +6,9 @@
 #include <cstdio>
 #include <cstring>
 #include <limits>
+#include <map>
 #include <string>
+#include <utility>
 
 #include "core/acme.h"
 #include "snap/format.h"
@@ -528,6 +530,96 @@ TEST(World, CoordinatorLaunchMatchesLegacyRun) {
   EXPECT_DOUBLE_EQ(launched.makespan, legacy.makespan);
   EXPECT_DOUBLE_EQ(launched.gpu_busy_seconds, legacy.gpu_busy_seconds);
   EXPECT_EQ(launched.trials, legacy.trials);
+}
+
+// A fault preset at test scale with §6.1 recovery automated or manual.
+// seren and colocated-seren run the fast 1/40 replay; colocated keeps its
+// eight-replica fleet, so its one failure chain kills both serving replicas
+// and pretraining jobs, but serves a light ten-minute load. hyperscale-small
+// runs as shipped: its domain chain cordons whole subtrees and kills every
+// resident job.
+world::ScenarioSpec fault_scenario(const std::string& preset,
+                                   bool auto_recovery) {
+  world::ScenarioSpec spec = *world::find_scenario(preset);
+  spec.auto_recovery = auto_recovery;
+  spec.fleet_samples = 500;
+  if (preset != "hyperscale-small") spec.scale = 40.0;
+  if (spec.serving()) {
+    spec.serve_rps = 10.0;
+    spec.serve_duration_seconds = 600.0;
+  }
+  return spec;
+}
+
+const world::WorldReport& fault_report(const std::string& preset,
+                                       bool auto_recovery) {
+  static std::map<std::pair<std::string, bool>, world::WorldReport> cache;
+  const auto key = std::make_pair(preset, auto_recovery);
+  auto it = cache.find(key);
+  if (it == cache.end())
+    it = cache.emplace(key, world::run_world(fault_scenario(preset,
+                                                            auto_recovery)))
+             .first;
+  return it->second;
+}
+
+// Manual recovery pays the on-call TTR on every kill: one manual recovery
+// per job or replica fault and per domain-outage resident, no localization.
+TEST(World, ManualRecoveryChargesEveryKillToOnCall) {
+  for (const char* preset : {"colocated-seren", "hyperscale-small"}) {
+    SCOPED_TRACE(preset);
+    const world::WorldReport& report = fault_report(preset, false);
+    EXPECT_GT(report.failures_injected, 0);
+    EXPECT_EQ(report.localizations, 0);
+    EXPECT_EQ(report.manual_recoveries,
+              report.failures_injected + report.domain_jobs_killed);
+  }
+  // Both kill sites fired: serving replicas and pretraining jobs.
+  const world::WorldReport& colocated = fault_report("colocated-seren", false);
+  EXPECT_GT(colocated.serve.replica_kills, 0);
+  EXPECT_GT(colocated.replay.failure_kills, 0);
+  EXPECT_GT(fault_report("hyperscale-small", false).domain_jobs_killed, 0);
+}
+
+// Automated recovery never pages on-call; every domain-outage resident runs
+// a localization over the cordoned subtree, and hardware job faults add more.
+TEST(World, AutoRecoveryLocalizesEveryDomainKill) {
+  for (const char* preset : {"colocated-seren", "hyperscale-small"}) {
+    SCOPED_TRACE(preset);
+    const world::WorldReport& report = fault_report(preset, true);
+    EXPECT_GT(report.failures_injected, 0);
+    EXPECT_EQ(report.manual_recoveries, 0);
+    EXPECT_GE(report.localizations, report.domain_jobs_killed);
+  }
+  EXPECT_GT(fault_report("hyperscale-small", true).domain_jobs_killed, 0);
+}
+
+// Golden digests of the fault scenarios with recovery automated and manual.
+// They pin the restart pricer and the kill accounting: a refactor of the
+// fault path must leave every one unchanged. Only a change that alters the
+// failure process or its pricing on purpose, such as the node-level failure
+// process on the roadmap, re-pins them, and says so.
+TEST(World, FaultScenarioDigestsArePinned) {
+  struct Golden {
+    const char* preset;
+    bool auto_recovery;
+    std::uint64_t digest;
+  };
+  const Golden goldens[] = {
+      {"seren", true, 0xef7965b9998e7dd2ull},
+      {"seren", false, 0x1611c181f6d7f65dull},
+      {"colocated-seren", true, 0xddf4047d98ea6d94ull},
+      {"colocated-seren", false, 0xd0a7f474fff1c79full},
+      {"hyperscale-small", true, 0x3fbe207944a4ece7ull},
+      {"hyperscale-small", false, 0x740043b37af843bcull},
+  };
+  for (const Golden& g : goldens) {
+    SCOPED_TRACE(std::string(g.preset) +
+                 (g.auto_recovery ? " auto" : " manual"));
+    const std::uint64_t digest =
+        fault_report(g.preset, g.auto_recovery).digest();
+    EXPECT_EQ(digest, g.digest) << std::hex << "0x" << digest;
+  }
 }
 
 TEST(World, McReplicasAreIndependent)  {
