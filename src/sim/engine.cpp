@@ -111,43 +111,6 @@ bool Engine::step(Time horizon) {
   return false;
 }
 
-Time Engine::next_event_time() {
-  while (!queue_empty()) {
-    bool from_sorted = false;
-    const Entry& top = queue_top(from_sorted);
-    if (slots_[top.slot].seq != top.seq) {
-      queue_pop(from_sorted);  // cancelled: the slot moved on already
-      continue;
-    }
-    return top.time;
-  }
-  return std::numeric_limits<Time>::infinity();
-}
-
-std::size_t Engine::run_window(Time end_exclusive, std::vector<Commit>& log) {
-  std::size_t n = 0;
-  while (!queue_empty()) {
-    bool from_sorted = false;
-    const Entry top = queue_top(from_sorted);
-    if (slots_[top.slot].seq != top.seq) {
-      queue_pop(from_sorted);
-      continue;
-    }
-    if (!(top.time < end_exclusive)) break;
-    queue_pop(from_sorted);
-    EventFn fn = std::move(slots_[top.slot].fn);
-    ACME_CHECK_MSG(fn, "event lost its callback");
-    retire(top.slot);
-    now_ = top.time;
-    ++fired_;
-    if (obs::enabled()) observe_dispatch(fired_, pending());
-    log.push_back(Commit{top.time, top.seq});
-    fn();
-    ++n;
-  }
-  return n;
-}
-
 std::size_t Engine::run_until(Time horizon) {
   std::size_t n = 0;
   while (step(horizon)) ++n;

@@ -48,15 +48,6 @@ using EventFn = common::InlineFn<kEventCaptureBytes>;
 
 class Engine;
 
-// One fired event, as recorded by Engine::run_window: the (time, seq) pair
-// the two-level queue popped. Within one engine the commit stream is exactly
-// the serial pop order; across engines the canonical (time, partition, seq)
-// sort of these records is what sim::WindowRunner's merge reproduces.
-struct Commit {
-  Time time;
-  std::uint32_t seq;
-};
-
 // Opaque handle for cancelling a scheduled event. Default-constructed handles
 // are inert. A handle never dangles: once its event fired or was cancelled,
 // the slot's occupancy seq moved on and every further cancel() is a cheap
@@ -142,19 +133,6 @@ class Engine {
   // Fires at most one event; returns false if queue empty or next event is
   // beyond `horizon`.
   bool step(Time horizon);
-
-  // Time of the next pending event without firing it; +infinity when idle.
-  // Non-const like step(): it lazily drops stale (cancelled) entries from
-  // the queue front on the way to the answer.
-  Time next_event_time();
-
-  // Fires every pending event with time STRICTLY below `end_exclusive` —
-  // the half-open window [now, end) of the conservative parallel drain —
-  // appending one Commit per fired event to `log` (which is not cleared
-  // here). Unlike run_until, the clock is never advanced to the window edge:
-  // it stays at the last fired event, so makespan accounting matches a plain
-  // run() drain exactly. Returns the number of events fired.
-  std::size_t run_window(Time end_exclusive, std::vector<Commit>& log);
 
   // Exact count of live (scheduled, not yet fired or cancelled) events;
   // maintained as a counter, so accuracy does not depend on how many

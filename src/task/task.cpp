@@ -39,13 +39,6 @@ void Pool::grow_locked(Deque& d, std::size_t min_capacity) {
   d.tail = count;
 }
 
-void Pool::reserve(std::size_t tasks_per_worker) {
-  for (Deque& d : deques_) {
-    std::lock_guard<std::mutex> g(d.mu);
-    grow_locked(d, std::max<std::size_t>(1, tasks_per_worker));
-  }
-}
-
 void Pool::enqueue(Task&& t, std::size_t hint) {
   Deque& d = deques_[hint % deques_.size()];
   {

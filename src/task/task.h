@@ -1,7 +1,6 @@
 // Work-stealing task runtime — the one execution substrate in AcmeSim. It
-// drains the partitions of a multi-partition replay (sim::WindowRunner) and
-// runs independent Monte Carlo replicas (mc::ReplicationPlan, through
-// parallel_for).
+// runs independent Monte Carlo replicas (mc::ReplicationPlan, and through it
+// world::run_world_mc) with parallel_for.
 //
 // Shape (marl-style, scaled to this codebase's needs):
 //  - a fixed pool of worker threads, each owning a ring deque of tasks;
@@ -9,25 +8,22 @@
 //    steal HALF the victim's queue from the front (oldest first), so one
 //    imbalanced spawn burst redistributes in O(log n) steals instead of one
 //    task per steal;
-//  - tasks are common::InlineFn closures stored inline in the rings — after
-//    Pool::reserve() the steady-state spawn/run cycle performs no heap
-//    allocation, which is what lets bench_parallel_replay keep the measured
-//    drain at 0 allocations with --workers 8;
-//  - a WaitGroup is the deterministic barrier: the window runtime spawns one
-//    task per partition, waits, and only then merges commits, so merge order
-//    never depends on execution interleaving.
+//  - tasks are common::InlineFn closures stored inline in the rings, so a
+//    spawn allocates only when a ring has to grow;
+//  - a WaitGroup is the deterministic barrier: parallel_for spawns one task
+//    per chunk of indices and returns only after every chunk finished.
 //
 // Determinism contract: the POOL is not deterministic (steal order races);
 // everything built on it must derive its outputs from task RESULTS combined
 // in a canonical order after a WaitGroup barrier, never from completion
-// order. sim::WindowRunner's (time, partition, seq) merge is the canonical
-// example and test_determinism pins the resulting digests at every worker
-// count.
+// order. mc::ReplicationPlan writes replica i into slot i and folds the
+// slots in index order; test_determinism pins the resulting digests at
+// every thread count.
 //
 // Exceptions: every task is spawned against a WaitGroup; a throwing task is
 // captured into the group (first error wins) and rethrown from wait() on the
-// coordinating thread, after the barrier — so a mid-window ACME_CHECK
-// failure in one partition surfaces exactly like it does serially.
+// coordinating thread, after the barrier — so an ACME_CHECK failure in one
+// replica surfaces exactly like it does serially.
 #pragma once
 
 #include <algorithm>
@@ -47,9 +43,9 @@
 namespace acme::task {
 
 // 56 bytes of capture + the two InlineFn pointers = 72-byte task slots. The
-// budget covers the WaitGroup wrapper (one pointer) plus a typical window
-// closure (partition pointer, horizon, a couple of indices) with room to
-// spare; outgrowing it is a compile error at the spawn site.
+// budget covers the WaitGroup wrapper (one pointer) plus parallel_for's
+// chunk closure (body pointer, begin, end) with room to spare; outgrowing it
+// is a compile error at the spawn site.
 inline constexpr std::size_t kTaskCaptureBytes = 56;
 using Task = common::InlineFn<kTaskCaptureBytes>;
 
@@ -69,7 +65,7 @@ class WaitGroup {
 
   void done() {
     // Notify while still holding mu_: the groups are stack-local in their
-    // waiters (WindowRunner::run, parallel_for), so the waiter may destroy
+    // waiters (parallel_for, direct spawn callers), so the waiter may destroy
     // the group the instant wait()'s predicate turns true. Keeping the
     // notify inside the lock means wait() cannot observe count_ == 0 until
     // this thread is past every touch of the group's members.
@@ -109,7 +105,7 @@ class Pool {
   // workers == 0 picks std::thread::hardware_concurrency() (min 1). The pool
   // always spawns exactly `workers` threads; the coordinating thread does not
   // execute tasks (it blocks in WaitGroup::wait), so workers == N means N
-  // concurrent partitions. More workers than cores is legal — the
+  // concurrent tasks. More workers than cores is legal — the
   // determinism tests run workers=8 on any box — it just oversubscribes.
   explicit Pool(std::size_t workers = 0);
   Pool(const Pool&) = delete;
@@ -120,11 +116,6 @@ class Pool {
   ~Pool();
 
   std::size_t size() const { return workers_.size(); }
-
-  // Pre-grows every worker's ring to hold `tasks_per_worker` tasks so the
-  // steady-state spawn path never allocates. Call before the measured
-  // region; growing later still works, it just mallocs once per doubling.
-  void reserve(std::size_t tasks_per_worker);
 
   // Spawns fn on the deque of worker `hint % size()` (callers round-robin
   // their own counter for deterministic placement), tied to `wg`: add(1) now,

@@ -491,7 +491,7 @@ ScenarioSpec hyperscale_scenario(int n_gpus, int n_dcs) {
 ScenarioSpec hyperscale_small_scenario() {
   ScenarioSpec spec = hyperscale_scenario(8192, 2);
   spec.name = "hyperscale-small";
-  spec.scale = 64.0;          // ~2.9-day window: fast enough for the matrix
+  spec.scale = 64.0;          // ~2.9-day window: fast enough for the oracles
   spec.trace_multiplier = 1.0;
   spec.domain_failure_interval_scale = 0.02;
   return spec;

@@ -235,6 +235,13 @@ TEST(Determinism, SnapshotOracleSeren) {
   expect_snapshot_oracle(spec, 20244);
 }
 
+TEST(Determinism, SnapshotOracleKalos) {
+  world::ScenarioSpec spec = world::kalos_scenario();
+  spec.scale = 40.0;
+  spec.fleet_samples = 500;
+  expect_snapshot_oracle(spec, 20248);
+}
+
 TEST(Determinism, SnapshotOracleColocatedSeren) {
   world::ScenarioSpec spec = world::colocated_seren_scenario();
   spec.scale = 40.0;
@@ -259,88 +266,6 @@ TEST(Determinism, SnapshotOracleHyperscaleSmall) {
   world::ScenarioSpec spec = world::hyperscale_small_scenario();
   spec.fleet_samples = 500;
   expect_snapshot_oracle(spec, 20247);
-}
-
-// --- Parallel window runtime determinism matrix (DESIGN.md §13) ---
-//
-// The tentpole invariant: a world's report digest is byte-identical at any
-// window-drain pool width, for every scenario preset. The world drains as
-// the single partition of a one-group fleet (run_world_fleet keeps the spec
-// verbatim for one group), so the pool really executes its windows. Workers
-// only move WHEN a partition executes, never what it commits.
-
-void expect_workers_matrix(const world::ScenarioSpec& spec) {
-  const std::uint64_t oracle = world::World(spec).run().digest();
-  for (std::size_t workers : {std::size_t{1}, std::size_t{2}, std::size_t{8}}) {
-    EXPECT_EQ(
-        world::run_world_fleet(spec, {.workers = workers}).groups[0].digest(),
-        oracle)
-        << spec.name << ": digest depends on window-drain width (workers="
-        << workers << ")";
-  }
-}
-
-TEST(Determinism, WorkersMatrixSeren) {
-  world::ScenarioSpec spec = world::seren_scenario();
-  spec.scale = 40.0;
-  spec.fleet_samples = 500;
-  expect_workers_matrix(spec);
-}
-
-TEST(Determinism, WorkersMatrixKalos) {
-  world::ScenarioSpec spec = world::kalos_scenario();
-  spec.scale = 40.0;
-  spec.fleet_samples = 500;
-  expect_workers_matrix(spec);
-}
-
-TEST(Determinism, WorkersMatrixColocatedSeren) {
-  world::ScenarioSpec spec = world::colocated_seren_scenario();
-  spec.scale = 40.0;
-  spec.fleet_samples = 500;
-  spec.serve_replicas = 2;
-  spec.serve_rps = 20.0;
-  spec.serve_duration_seconds = 900.0;
-  expect_workers_matrix(spec);
-}
-
-TEST(Determinism, WorkersMatrixServeSeren) {
-  world::ScenarioSpec spec = world::serve_seren_scenario();
-  spec.serve_rps = 20.0;
-  spec.serve_duration_seconds = 900.0;
-  expect_workers_matrix(spec);
-}
-
-TEST(Determinism, WorkersMatrixHyperscaleSmall) {
-  world::ScenarioSpec spec = world::hyperscale_small_scenario();
-  spec.fleet_samples = 500;
-  expect_workers_matrix(spec);
-}
-
-TEST(Determinism, FleetDigestIndependentOfWorkers) {
-  world::ScenarioSpec spec = world::seren_scenario();
-  spec.scale = 40.0;
-  spec.fleet_samples = 500;
-  world::FleetOptions serial;
-  serial.groups = 3;
-  serial.workers = 1;
-  const world::FleetRunReport a = world::run_world_fleet(spec, serial);
-  world::FleetOptions wide = serial;
-  wide.workers = 8;
-  const world::FleetRunReport b = world::run_world_fleet(spec, wide);
-  ASSERT_EQ(a.groups.size(), 3u);
-  EXPECT_EQ(a.digest(), b.digest())
-      << "fleet digest depends on window-drain width";
-  EXPECT_GT(b.windows.parallel_windows, 0u)
-      << "3 groups at 8 workers never actually overlapped";
-
-  // A single-group fleet keeps the spec verbatim: group 0's report is the
-  // plain run_world report.
-  world::FleetOptions solo;
-  solo.groups = 1;
-  solo.workers = 8;
-  const world::FleetRunReport c = world::run_world_fleet(spec, solo);
-  EXPECT_EQ(c.groups[0].digest(), world::run_world(spec).digest());
 }
 
 TEST(Determinism, SnapshotReflectsSimulatedWork) {

@@ -1,19 +1,20 @@
-// ThreadSanitizer stress runner for the parallel window runtime — a plain
-// main (no gtest) so the TSan CI job sees only instrumented code.
+// ThreadSanitizer stress runner for concurrent world replays — a plain main
+// (no gtest) so the TSan CI job sees only instrumented code.
 //
-// Randomized kill/recover/backfill churn at 8 workers: each iteration draws
+// Randomized kill/recover/backfill churn at 8 threads: each iteration draws
 // a scenario mutation (seed, failure cadence, checkpoint interval, recovery
 // mode) and runs the full seren world — live Table 3 failure injection,
-// §6.1 recovery, scheduler backfill — once serially and once as a
-// one-group world::run_world_fleet on an 8-wide work-stealing pool, checking
-// the report digests byte-identical. A multi-group round (4-8 churny worlds
-// in one run_world_fleet, drained concurrently on an 8-wide pool against the
-// workers=1 drain) covers the multi-partition merge, where the actual
-// cross-thread traffic lives. Exits non-zero on any digest or event-count
-// divergence; TSan itself fails the job on a data race.
+// §6.1 recovery, scheduler backfill — once serially and as 8 concurrent
+// copies on an 8-wide task::Pool, checking every copy's report digest
+// byte-identical to the serial one. A replica round (world::run_world_mc
+// with 4-8 churny replicas at threads = 8 against threads = 1) covers the
+// Monte Carlo path, where each replica re-seeds its own world. Exits
+// non-zero on any digest or failure-count divergence; TSan itself fails the
+// job on a data race.
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <vector>
 
 #include "common/cli.h"
 #include "common/rng.h"
@@ -49,33 +50,40 @@ world::ScenarioSpec mutate_spec(common::Rng& rng) {
 void stress_world_churn(common::Rng& rng) {
   const world::ScenarioSpec spec = mutate_spec(rng);
   const world::WorldReport serial = world::run_world(spec);
-  const world::FleetRunReport parallel =
-      world::run_world_fleet(spec, {.workers = 8});
-  check(parallel.groups[0].digest() == serial.digest(),
-        "world digest identical at workers=8 (seed " +
-            std::to_string(spec.seed) + ")");
+  constexpr std::size_t kCopies = 8;
+  std::vector<std::uint64_t> copies(kCopies);
+  task::Pool pool(kCopies);
+  pool.parallel_for(kCopies, 1, [&](std::size_t c) {
+    copies[c] = world::run_world(spec).digest();
+  });
+  for (std::size_t c = 0; c < kCopies; ++c)
+    check(copies[c] == serial.digest(),
+          "copy " + std::to_string(c) + " digest identical on an 8-wide pool "
+          "(seed " + std::to_string(spec.seed) + ")");
   check(serial.failures_injected > 0,
         "churn actually injected failures (seed " +
             std::to_string(spec.seed) + ")");
 }
 
-void stress_fleet_groups(common::Rng& rng) {
+void stress_replicas(common::Rng& rng) {
   world::ScenarioSpec spec = mutate_spec(rng);
-  spec.scale = 1024;  // per group; 4-8 groups keep the drain TSan-sized
-  const int groups = 4 + static_cast<int>(rng.uniform_int(0, 4));
-  const double window = rng.uniform() < 0.5
-                            ? rng.uniform(3600.0, 7 * 24 * 3600.0)
-                            : 0;  // 0 = one window drains all
-  const world::FleetRunReport serial = world::run_world_fleet(
-      spec, {.groups = groups, .workers = 1, .window_seconds = window});
-  const world::FleetRunReport parallel = world::run_world_fleet(
-      spec, {.groups = groups, .workers = 8, .window_seconds = window});
-  check(parallel.digest() == serial.digest(),
-        "fleet digest identical at workers=8 (seed " +
-            std::to_string(spec.seed) + ", " + std::to_string(groups) +
-            " groups)");
-  check(parallel.windows.events == serial.windows.events,
-        "event counts identical across drains");
+  spec.scale = 1024;  // per replica; 4-8 replicas keep the round TSan-sized
+  mc::ReplicationOptions options;
+  options.replicas = 4 + static_cast<std::size_t>(rng.uniform_int(0, 4));
+  options.seed = spec.seed;
+  options.threads = 1;
+  const auto serial = world::run_world_mc(spec, options);
+  options.threads = 8;
+  const auto parallel = world::run_world_mc(spec, options);
+  for (std::size_t i = 0; i < options.replicas; ++i) {
+    const std::string where = " (seed " + std::to_string(spec.seed) +
+                              ", replica " + std::to_string(i) + ")";
+    check(parallel.results[i].digest() == serial.results[i].digest(),
+          "replica digest identical at threads=8" + where);
+    check(parallel.results[i].failures_injected ==
+              serial.results[i].failures_injected,
+          "replica failures_injected identical at threads=8" + where);
+  }
 }
 
 }  // namespace
@@ -84,7 +92,7 @@ int main(int argc, char** argv) {
   std::uint64_t iters = 4;
   std::uint64_t seed = 42;
   common::FlagSet flags("tsan_replay_stress");
-  flags.add("--iters", &iters, "churn iterations (each runs world + fleet)");
+  flags.add("--iters", &iters, "churn iterations (each runs copies + replicas)");
   flags.add("--seed", &seed, "base seed for the mutation stream");
   std::string error;
   if (!flags.parse(argc, argv, &error)) {
@@ -100,7 +108,7 @@ int main(int argc, char** argv) {
   common::Rng rng(seed);
   for (std::uint64_t i = 0; i < iters; ++i) {
     stress_world_churn(rng);
-    stress_fleet_groups(rng);
+    stress_replicas(rng);
     std::printf("tsan_replay_stress: iteration %llu/%llu ok\n",
                 static_cast<unsigned long long>(i + 1),
                 static_cast<unsigned long long>(iters));

@@ -10,12 +10,11 @@
 //   * oracle run (~75%): mutates the base ScenarioSpec within typed bounds,
 //     runs the world straight through, then re-runs it save-at-midpoint →
 //     restore → run-to-end and requires the two WorldReport digests to be
-//     byte-identical. Each iteration also draws a window-drain width from
-//     {1, 2, 8} (the workers mutation axis, DESIGN.md §13); widths > 1
-//     re-run the accepted mutant as a one-group world::run_world_fleet on a
-//     pool of that width and require digest equality with the serial
-//     drain. Any divergence, thrown ACME_CHECK, or crash-by-exception is a
-//     finding.
+//     byte-identical. Each iteration also draws a pool width W from
+//     {1, 2, 8} (the workers mutation axis); W > 1 runs W copies of the
+//     accepted mutant concurrently on a task::Pool of that width and
+//     requires every copy's digest to equal the straight run's. Any
+//     divergence, thrown ACME_CHECK, or crash-by-exception is a finding.
 //
 // Findings are shrunk greedily — each mutated field is reverted toward the
 // base spec while the failure persists — and the minimal reproducer (spec
@@ -70,21 +69,27 @@ OracleOutcome oracle_verdict(const world::ScenarioSpec& spec,
     out.verdict = std::string("straight run threw non-check: ") + e.what();
     return out;
   }
-  // Workers axis: an accepted mutant must drain to the same digest through
-  // the parallel window runtime at this iteration's width.
+  // Workers axis: `workers` copies of an accepted mutant, drained
+  // concurrently on a pool of that width, must each reach the straight digest.
   if (workers > 1) {
     try {
-      const std::uint64_t par =
-          world::run_world_fleet(spec, {.workers = workers}).groups[0].digest();
-      if (par != straight_digest) {
-        out.verdict = "parallel drain digest divergence (workers=" +
-                      std::to_string(workers) + "): straight " +
-                      common::fnv1a_hex(straight_digest) + " vs parallel " +
-                      common::fnv1a_hex(par);
-        return out;
+      std::vector<std::uint64_t> copies(workers);
+      task::Pool pool(workers);
+      pool.parallel_for(workers, 1, [&](std::size_t c) {
+        copies[c] = world::World(spec).run().digest();
+      });
+      for (std::size_t c = 0; c < workers; ++c) {
+        if (copies[c] != straight_digest) {
+          out.verdict = "concurrent copy digest divergence (workers=" +
+                        std::to_string(workers) + ", copy " +
+                        std::to_string(c) + "): straight " +
+                        common::fnv1a_hex(straight_digest) + " vs copy " +
+                        common::fnv1a_hex(copies[c]);
+          return out;
+        }
       }
     } catch (const std::exception& e) {
-      out.verdict = std::string("parallel drain threw (workers=") +
+      out.verdict = std::string("concurrent copy threw (workers=") +
                     std::to_string(workers) + "): " + e.what();
       return out;
     }
