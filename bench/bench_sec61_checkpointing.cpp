@@ -55,7 +55,6 @@ int main(int argc, char** argv) {
   mc::ReplicationOptions defaults;
   defaults.replicas = 16;
   defaults.stream_label = "sec61-ckpt";
-  defaults.chunk = 8;  // replicas are microsecond-scale; amortize the queue
   const bench::BenchCli obs_cli =
       bench::parse_cli(argc, argv, "bench_sec61_checkpointing", defaults);
   const mc::McCli& cli = obs_cli.mc;

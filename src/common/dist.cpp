@@ -1,8 +1,8 @@
 #include "common/dist.h"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 namespace acme::common {
 
@@ -19,20 +19,6 @@ double LognormalFromStats::median() const { return std::exp(mu_); }
 
 double LognormalFromStats::mean() const { return std::exp(mu_ + sigma_ * sigma_ / 2.0); }
 
-BoundedPareto::BoundedPareto(double alpha, double lo, double hi)
-    : alpha_(alpha), lo_(lo), hi_(hi) {
-  if (!(alpha > 0) || !(lo > 0) || !(hi > lo))
-    throw std::invalid_argument("BoundedPareto: need alpha>0, 0<lo<hi");
-}
-
-double BoundedPareto::sample(Rng& rng) const {
-  // Inverse CDF of the bounded Pareto.
-  const double u = rng.uniform();
-  const double la = std::pow(lo_, alpha_);
-  const double ha = std::pow(hi_, alpha_);
-  return std::pow(-(u * ha - u * la - ha) / (ha * la), -1.0 / alpha_);
-}
-
 DiscreteDist::DiscreteDist(std::vector<double> values, std::vector<double> weights)
     : values_(std::move(values)), weights_(std::move(weights)) {
   if (values_.empty() || values_.size() != weights_.size())
@@ -40,13 +26,5 @@ DiscreteDist::DiscreteDist(std::vector<double> values, std::vector<double> weigh
 }
 
 double DiscreteDist::sample(Rng& rng) const { return values_[rng.categorical(weights_)]; }
-
-LognormalMixture::LognormalMixture(LognormalFromStats a, LognormalFromStats b,
-                                   double weight_a)
-    : a_(a), b_(b), weight_a_(std::clamp(weight_a, 0.0, 1.0)) {}
-
-double LognormalMixture::sample(Rng& rng) const {
-  return rng.bernoulli(weight_a_) ? a_.sample(rng) : b_.sample(rng);
-}
 
 }  // namespace acme::common

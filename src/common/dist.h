@@ -33,18 +33,6 @@ class LognormalFromStats {
   double sigma_;
 };
 
-// Bounded Pareto for heavy-tailed quantities (e.g. job durations with a
-// known median and a bounded maximum such as the trace length).
-class BoundedPareto {
- public:
-  // alpha > 0 shape, 0 < lo < hi.
-  BoundedPareto(double alpha, double lo, double hi);
-  double sample(Rng& rng) const;
-
- private:
-  double alpha_, lo_, hi_;
-};
-
 // A discrete empirical distribution: sample one of the listed values with the
 // paired weights. Used for GPU-demand distributions where the paper pins the
 // mass at powers of two.
@@ -58,18 +46,6 @@ class DiscreteDist {
  private:
   std::vector<double> values_;
   std::vector<double> weights_;
-};
-
-// Mixture of two lognormals; lets us match both a short-job mode and a
-// heavy pretraining tail within one workload type.
-class LognormalMixture {
- public:
-  LognormalMixture(LognormalFromStats a, LognormalFromStats b, double weight_a);
-  double sample(Rng& rng) const;
-
- private:
-  LognormalFromStats a_, b_;
-  double weight_a_;
 };
 
 }  // namespace acme::common

@@ -1,8 +1,8 @@
 // Deterministic parallel Monte Carlo replication.
 //
-// A ReplicationPlan runs N independent replicas of a simulation body on a
-// task::Pool. Determinism is by construction: replica i always draws from
-// Rng(seed).fork("<label>-<i>") and writes its result into slot i of a
+// A ReplicationPlan runs N independent replicas of a simulation body with
+// task::parallel_for. Determinism is by construction: replica i always draws
+// from Rng(seed).fork("<label>-<i>") and writes its result into slot i of a
 // pre-sized vector, so per-replica results are bit-identical to serial
 // execution regardless of thread count or scheduling order. Aggregation
 // (aggregate.h) then folds the slots in replica order on the calling thread,
@@ -35,9 +35,6 @@ struct ReplicationOptions {
   std::uint64_t seed = 42;
   // Fork label prefix: replica i draws from fork("<stream_label>-<i>").
   std::string stream_label = "replica";
-  // Replicas dispatched per pool task; >1 amortizes queue traffic when each
-  // replica is cheap.
-  std::size_t chunk = 1;
 };
 
 // CPU seconds consumed by the calling thread. Replica costs are measured
@@ -117,9 +114,8 @@ class ReplicationPlan {
       for (std::size_t i = 0; i < options_.replicas; ++i) run_replica(i);
       out.timing.threads_used = 1;
     } else {
-      task::Pool pool(options_.threads);
-      pool.parallel_for(options_.replicas, options_.chunk, run_replica);
-      out.timing.threads_used = pool.size();
+      task::parallel_for(options_.threads, options_.replicas, run_replica);
+      out.timing.threads_used = task::resolve_threads(options_.threads);
     }
     out.timing.wall_seconds =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - wall0)

@@ -2,7 +2,6 @@
 
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string_view>
@@ -139,24 +138,6 @@ std::optional<McCli> parse_mc_cli_strict(int argc, char** argv,
   common::FlagSet flags(argc > 0 ? argv[0] : "bench");
   add_mc_flags(flags, cli);
   if (!flags.parse(argc, argv, error)) return std::nullopt;
-  if (cli.options.replicas == 0) cli.options.replicas = 1;
-  return cli;
-}
-
-McCli parse_mc_cli(int argc, char** argv, const ReplicationOptions& defaults) {
-  McCli cli;
-  cli.options = defaults;
-  common::FlagSet flags(argc > 0 ? argv[0] : "bench");
-  add_mc_flags(flags, cli);
-  std::string error;
-  if (!flags.parse(argc, argv, &error)) {
-    std::fprintf(stderr, "%s\n%s", error.c_str(), flags.usage().c_str());
-    std::exit(2);
-  }
-  if (flags.help_requested()) {
-    std::printf("%s", flags.usage().c_str());
-    std::exit(0);
-  }
   if (cli.options.replicas == 0) cli.options.replicas = 1;
   return cli;
 }

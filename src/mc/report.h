@@ -81,10 +81,6 @@ std::optional<McCli> parse_mc_cli_strict(int argc, char** argv,
                                          const ReplicationOptions& defaults,
                                          std::string* error = nullptr);
 
-// Exiting wrapper for standalone benches: a parse error prints the reason and
-// usage to stderr and exits 2; --help prints usage and exits 0.
-McCli parse_mc_cli(int argc, char** argv, const ReplicationOptions& defaults);
-
 // Formats "v ±ci" with a unit suffix, e.g. "12.3 ±0.8 s".
 std::string format_with_ci(double value, double ci95, const std::string& unit,
                            int precision = 2);

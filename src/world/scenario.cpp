@@ -105,7 +105,13 @@ bool parse_double(const std::string& raw, double* out) {
   }
 }
 
+// Digits only: std::stoull accepts a leading '-' and wraps it, so "-1" would
+// otherwise parse as 2^64 - 1.
 bool parse_u64(const std::string& raw, std::uint64_t* out) {
+  if (raw.empty() || !std::all_of(raw.begin(), raw.end(), [](unsigned char c) {
+        return std::isdigit(c) != 0;
+      }))
+    return false;
   try {
     std::size_t used = 0;
     *out = std::stoull(raw, &used);

@@ -60,36 +60,6 @@ INSTANTIATE_TEST_SUITE_P(
                       std::pair{120.0, 900.0},   // eval durations
                       std::pair{1.0, 1.0}));     // degenerate point mass
 
-TEST(BoundedPareto, SamplesStayInBounds) {
-  const BoundedPareto d(1.2, 10.0, 1000.0);
-  Rng rng(5);
-  for (int i = 0; i < 20000; ++i) {
-    const double x = d.sample(rng);
-    EXPECT_GE(x, 10.0);
-    EXPECT_LE(x, 1000.0);
-  }
-}
-
-TEST(BoundedPareto, HeavyTailSkew) {
-  const BoundedPareto d(1.0, 1.0, 1e6);
-  Rng rng(6);
-  double sum = 0;
-  std::vector<double> samples;
-  for (int i = 0; i < 50000; ++i) {
-    samples.push_back(d.sample(rng));
-    sum += samples.back();
-  }
-  std::nth_element(samples.begin(), samples.begin() + 25000, samples.end());
-  // Mean far exceeds median for alpha=1 bounded Pareto.
-  EXPECT_GT(sum / 50000.0, samples[25000] * 3);
-}
-
-TEST(BoundedPareto, RejectsBadParameters) {
-  EXPECT_THROW(BoundedPareto(0.0, 1.0, 2.0), std::invalid_argument);
-  EXPECT_THROW(BoundedPareto(1.0, 0.0, 2.0), std::invalid_argument);
-  EXPECT_THROW(BoundedPareto(1.0, 3.0, 2.0), std::invalid_argument);
-}
-
 TEST(DiscreteDist, SamplesOnlyListedValues) {
   const DiscreteDist d({1, 2, 4, 8}, {1, 1, 1, 1});
   Rng rng(7);
@@ -112,24 +82,6 @@ TEST(DiscreteDist, FrequenciesFollowWeights) {
 TEST(DiscreteDist, RejectsMismatchedSizes) {
   EXPECT_THROW(DiscreteDist({1, 2}, {1}), std::invalid_argument);
   EXPECT_THROW(DiscreteDist({}, {}), std::invalid_argument);
-}
-
-TEST(LognormalMixture, InterpolatesComponents) {
-  const LognormalMixture mix(LognormalFromStats(1.0, 1.0),
-                             LognormalFromStats(100.0, 100.0), 0.5);
-  Rng rng(9);
-  int small = 0;
-  const int n = 20000;
-  for (int i = 0; i < n; ++i)
-    if (mix.sample(rng) < 10.0) ++small;
-  EXPECT_NEAR(small / static_cast<double>(n), 0.5, 0.02);
-}
-
-TEST(LognormalMixture, WeightOneUsesOnlyFirst) {
-  const LognormalMixture mix(LognormalFromStats(2.0, 2.0),
-                             LognormalFromStats(50.0, 50.0), 1.0);
-  Rng rng(10);
-  for (int i = 0; i < 1000; ++i) EXPECT_NEAR(mix.sample(rng), 2.0, 1e-9);
 }
 
 }  // namespace

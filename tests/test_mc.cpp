@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <thread>
 
 #include "common/rng.h"
 #include "common/stats.h"
@@ -96,13 +98,12 @@ TEST(ReplicationPlan, BitIdenticalAcrossThreadCounts) {
   serial.seed = 1234;
   ReplicationOptions parallel = serial;
   parallel.threads = 4;
-  ReplicationOptions chunked = serial;
-  chunked.threads = 5;
-  chunked.chunk = 3;
+  ReplicationOptions uneven = serial;  // 5 threads do not divide 16 replicas
+  uneven.threads = 5;
 
   const auto a = run_replicas<double>(serial, body);
   const auto b = run_replicas<double>(parallel, body);
-  const auto c = run_replicas<double>(chunked, body);
+  const auto c = run_replicas<double>(uneven, body);
   ASSERT_EQ(a.results.size(), 16u);
   for (std::size_t i = 0; i < a.results.size(); ++i) {
     EXPECT_EQ(a.results[i], b.results[i]) << "replica " << i;
@@ -154,7 +155,7 @@ TEST(ReplicationPlan, TimingAccountsEveryReplica) {
 }
 
 // A throwing replica surfaces from run() on the calling thread, whether the
-// replicas run inline or on the pool (task::WaitGroup exception transport).
+// replicas run inline or on task::parallel_for's threads.
 TEST(ReplicationPlan, ReplicaExceptionPropagatesFromRun) {
   for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     ReplicationOptions options;
@@ -166,6 +167,31 @@ TEST(ReplicationPlan, ReplicaExceptionPropagatesFromRun) {
     };
     EXPECT_THROW(run_replicas<int>(options, body), std::runtime_error)
         << "threads=" << threads;
+  }
+}
+
+// With several failing replicas, run() rethrows the lowest one's exception
+// at every thread count, exactly as the serial loop does. Replica 2 fails
+// late, so on threads replica 5 is usually the first to throw.
+TEST(ReplicationPlan, LowestFailingReplicaWinsAtAnyThreadCount) {
+  for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    ReplicationOptions options;
+    options.replicas = 8;
+    options.threads = threads;
+    const auto body = [](common::Rng&, std::size_t i) -> int {
+      if (i == 2) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        throw std::runtime_error("replica 2 failed");
+      }
+      if (i == 5) throw std::runtime_error("replica 5 failed");
+      return static_cast<int>(i);
+    };
+    try {
+      run_replicas<int>(options, body);
+      ADD_FAILURE() << "no exception at threads=" << threads;
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "replica 2 failed") << "threads=" << threads;
+    }
   }
 }
 

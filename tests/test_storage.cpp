@@ -6,7 +6,6 @@
 #include "common/rng.h"
 #include "sim/engine.h"
 #include "storage/network.h"
-#include "storage/shm_cache.h"
 
 namespace acme::storage {
 namespace {
@@ -174,51 +173,6 @@ TEST(StorageNetwork, Fig16LoadingContentionShape) {
   EXPECT_NEAR(v8 / v64, 1.0, 0.05);    // flat 8 -> 64
   EXPECT_NEAR(v8 / v256, 1.0, 0.35);   // near-flat to 256 (backend bends it)
 }
-
-// --- ShmCache ---
-
-TEST(ShmCache, PutContainsErase) {
-  ShmCache cache(100.0);
-  EXPECT_TRUE(cache.put(0, "model-7b", 14.6));
-  EXPECT_TRUE(cache.contains(0, "model-7b"));
-  EXPECT_FALSE(cache.contains(1, "model-7b"));  // per-node
-  cache.erase(0, "model-7b");
-  EXPECT_FALSE(cache.contains(0, "model-7b"));
-}
-
-TEST(ShmCache, EvictsOldestWhenFull) {
-  ShmCache cache(30.0);
-  EXPECT_TRUE(cache.put(0, "a", 15.0));
-  EXPECT_TRUE(cache.put(0, "b", 15.0));
-  EXPECT_TRUE(cache.put(0, "c", 15.0));  // evicts "a"
-  EXPECT_FALSE(cache.contains(0, "a"));
-  EXPECT_TRUE(cache.contains(0, "b"));
-  EXPECT_TRUE(cache.contains(0, "c"));
-  EXPECT_NEAR(cache.used_gb(0), 30.0, 1e-9);
-}
-
-TEST(ShmCache, RejectsOversizedArtifact) {
-  ShmCache cache(10.0);
-  EXPECT_FALSE(cache.put(0, "huge", 11.0));
-  EXPECT_DOUBLE_EQ(cache.used_gb(0), 0.0);
-}
-
-TEST(ShmCache, DuplicatePutIsIdempotent) {
-  ShmCache cache(20.0);
-  EXPECT_TRUE(cache.put(0, "m", 8.0));
-  EXPECT_TRUE(cache.put(0, "m", 8.0));
-  EXPECT_DOUBLE_EQ(cache.used_gb(0), 8.0);
-}
-
-TEST(ShmCache, ClearNode) {
-  ShmCache cache(20.0);
-  cache.put(0, "m", 8.0);
-  cache.put(1, "m", 8.0);
-  cache.clear_node(0);
-  EXPECT_FALSE(cache.contains(0, "m"));
-  EXPECT_TRUE(cache.contains(1, "m"));
-}
-
 
 // Property: under a random arrival/cancel workload, (a) all surviving flows
 // complete, (b) completion order respects work conservation (total bytes

@@ -1,11 +1,11 @@
-// acme::task pool primitives: the work-stealing substrate that runs Monte
-// Carlo replicas. Checks parallel_for coverage, WaitGroup barrier + exception
-// transport, steal rebalancing of an imbalanced spawn burst, nested spawn,
-// and ring growth past the initial capacity.
+// acme::task::parallel_for: the execution substrate that runs Monte Carlo
+// replicas. Checks index coverage, empty and tiny ranges, named callables,
+// thread-count resolution and the lowest-failing-index exception rule.
 #include <atomic>
 #include <chrono>
 #include <functional>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -16,126 +16,91 @@
 namespace acme {
 namespace {
 
-TEST(TaskPool, ZeroWorkersPicksAtLeastOneThread) {
-  task::Pool pool(0);
-  EXPECT_GE(pool.size(), 1u);
-}
-
-TEST(TaskPool, ParallelForCoversEveryIndexExactlyOnce) {
-  task::Pool pool(4);
+TEST(TaskParallelFor, CoversEveryIndexExactlyOnce) {
   std::vector<std::atomic<int>> hits(1000);
-  pool.parallel_for(hits.size(), 7,
-                    [&](std::size_t i) { hits[i].fetch_add(1); });
+  task::parallel_for(4, hits.size(),
+                     [&](std::size_t i) { hits[i].fetch_add(1); });
   for (std::size_t i = 0; i < hits.size(); ++i)
     ASSERT_EQ(hits[i].load(), 1) << "index " << i;
 }
 
-TEST(TaskPool, ParallelForZeroAndTinyRanges) {
-  task::Pool pool(2);
+TEST(TaskParallelFor, ZeroAndTinyRanges) {
   std::atomic<int> count{0};
-  pool.parallel_for(0, 8, [&](std::size_t) { count.fetch_add(1); });
+  task::parallel_for(2, 0, [&](std::size_t) { count.fetch_add(1); });
   EXPECT_EQ(count.load(), 0);
-  pool.parallel_for(3, 100, [&](std::size_t) { count.fetch_add(1); });
-  EXPECT_EQ(count.load(), 3);
-  pool.parallel_for(5, 0, [&](std::size_t) { count.fetch_add(1); });
-  EXPECT_EQ(count.load(), 8);  // grain 0 is clamped to 1
+  task::parallel_for(2, 1, [&](std::size_t) { count.fetch_add(1); });
+  EXPECT_EQ(count.load(), 1);
+  task::parallel_for(2, 3, [&](std::size_t) { count.fetch_add(1); });
+  EXPECT_EQ(count.load(), 4);
 }
 
-// parallel_for keeps a pointer to the callable; a named lambda or a const
-// std::function reference (F deduced as an lvalue reference) must compile
-// and run exactly like a temporary.
-TEST(TaskPool, ParallelForAcceptsNamedCallable) {
-  task::Pool pool(3);
+// A named lambda or a const std::function reference (F deduced as an lvalue
+// reference) must compile and run exactly like a temporary.
+TEST(TaskParallelFor, AcceptsNamedCallable) {
   std::vector<std::atomic<int>> hits(50);
   const auto bump = [&](std::size_t i) { hits[i].fetch_add(1); };
-  pool.parallel_for(hits.size(), 4, bump);
+  task::parallel_for(3, hits.size(), bump);
   const std::function<void(std::size_t)> fn = bump;
   const std::function<void(std::size_t)>& ref = fn;
-  pool.parallel_for(hits.size(), 0, ref);
+  task::parallel_for(3, hits.size(), ref);
   for (std::size_t i = 0; i < hits.size(); ++i)
     ASSERT_EQ(hits[i].load(), 2) << "index " << i;
 }
 
-TEST(TaskPool, SpawnRunsEveryTaskOnce) {
-  task::Pool pool(3);
-  std::atomic<int> count{0};
-  task::WaitGroup wg;
-  for (std::size_t i = 0; i < 500; ++i)
-    pool.spawn(wg, i, [&] { count.fetch_add(1); });
-  wg.wait();
-  EXPECT_EQ(count.load(), 500);
-  EXPECT_GE(pool.tasks_run(), 500u);
+TEST(TaskParallelFor, ZeroThreadsPicksHardwareConcurrency) {
+  EXPECT_GE(task::resolve_threads(0), 1u);
+  EXPECT_EQ(task::resolve_threads(3), 3u);
+  std::vector<std::atomic<int>> hits(64);
+  task::parallel_for(0, hits.size(),
+                     [&](std::size_t i) { hits[i].fetch_add(1); });
+  for (std::size_t i = 0; i < hits.size(); ++i)
+    ASSERT_EQ(hits[i].load(), 1) << "index " << i;
 }
 
-TEST(TaskPool, WaitGroupRethrowsFirstTaskErrorAndStaysReusable) {
-  task::Pool pool(2);
-  task::WaitGroup wg;
+// More threads than indices: every index still runs exactly once, and
+// never on the calling thread, which only waits.
+TEST(TaskParallelFor, MoreThreadsThanIndices) {
+  std::vector<std::atomic<int>> hits(3);
+  std::vector<std::thread::id> ran_on(hits.size());
+  task::parallel_for(16, hits.size(), [&](std::size_t i) {
+    hits[i].fetch_add(1);
+    ran_on[i] = std::this_thread::get_id();
+  });
+  for (std::size_t i = 0; i < hits.size(); ++i) {
+    ASSERT_EQ(hits[i].load(), 1) << "index " << i;
+    EXPECT_NE(ran_on[i], std::this_thread::get_id()) << "index " << i;
+  }
+}
+
+// Several failing indices: the lowest one's exception surfaces, whatever
+// order the threads reached them in. Index 3 fails late, so on threads a
+// higher index is usually the first to throw.
+TEST(TaskParallelFor, RethrowsTheLowestFailingIndex) {
+  for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    try {
+      task::parallel_for(threads, 32, [](std::size_t i) {
+        if (i == 3) std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        if (i == 3 || i == 9 || i == 20)
+          throw std::runtime_error("index " + std::to_string(i));
+      });
+      ADD_FAILURE() << "no exception at threads=" << threads;
+    } catch (const std::runtime_error& e) {
+      EXPECT_STREQ(e.what(), "index 3") << "threads=" << threads;
+    }
+  }
+}
+
+// After a throw no new index is claimed: one thread stops right at the
+// failing index, as the serial loop would.
+TEST(TaskParallelFor, StopsClaimingAfterAThrow) {
   std::atomic<int> ran{0};
-  for (int i = 0; i < 16; ++i)
-    pool.spawn(wg, static_cast<std::size_t>(i), [&, i] {
-      ran.fetch_add(1);
-      if (i == 5) throw std::runtime_error("partition blew up");
-    });
-  EXPECT_THROW(wg.wait(), std::runtime_error);
-  EXPECT_EQ(ran.load(), 16);  // the barrier still waited for every task
-
-  // The error was consumed by wait(); the group is reusable.
-  pool.spawn(wg, 0, [&] { ran.fetch_add(1); });
-  EXPECT_NO_THROW(wg.wait());
-  EXPECT_EQ(ran.load(), 17);
-}
-
-TEST(TaskPool, StealsRebalanceAnImbalancedSpawnBurst) {
-  // Every task lands on worker 0's deque; the other workers have nothing to
-  // pop and must steal. Each task holds its worker briefly so the burst
-  // cannot be drained before the thieves wake up.
-  task::Pool pool(4);
-  task::WaitGroup wg;
-  std::atomic<int> count{0};
-  for (int i = 0; i < 64; ++i)
-    pool.spawn(wg, 0, [&] {
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
-      count.fetch_add(1);
-    });
-  wg.wait();
-  EXPECT_EQ(count.load(), 64);
-  EXPECT_GT(pool.steals(), 0u);
-}
-
-TEST(TaskPool, NestedSpawnOnTheSharedGroup) {
-  // Outer tasks spawn inner tasks on the same pool and group; the
-  // coordinating thread's single wait() covers both generations. (Workers
-  // never block on the group — only the coordinator waits.)
-  task::Pool pool(4);
-  task::WaitGroup wg;
-  std::atomic<int> inner{0};
-  for (std::size_t o = 0; o < 8; ++o)
-    pool.spawn(wg, o, [&pool, &wg, &inner, o] {
-      for (std::size_t i = 0; i < 8; ++i)
-        pool.spawn(wg, o + i, [&inner] { inner.fetch_add(1); });
-    });
-  wg.wait();
-  EXPECT_EQ(inner.load(), 64);
-}
-
-TEST(TaskPool, RingGrowsPastTheInitialCapacityUnreserved) {
-  task::Pool pool(2);
-  std::atomic<int> count{0};
-  task::WaitGroup wg;
-  for (std::size_t i = 0; i < 10000; ++i)
-    pool.spawn(wg, 0, [&] { count.fetch_add(1); });
-  wg.wait();
-  EXPECT_EQ(count.load(), 10000);
-}
-
-TEST(TaskWaitGroup, BarrierWithoutPool) {
-  task::WaitGroup wg;
-  wg.add(2);
-  std::thread a([&] { wg.done(); });
-  std::thread b([&] { wg.done(); });
-  wg.wait();  // returns only after both done() calls
-  a.join();
-  b.join();
+  EXPECT_THROW(task::parallel_for(1, 100,
+                                  [&](std::size_t i) {
+                                    ran.fetch_add(1);
+                                    if (i == 3) throw std::runtime_error("3");
+                                  }),
+               std::runtime_error);
+  EXPECT_EQ(ran.load(), 4);
 }
 
 }  // namespace

@@ -67,6 +67,11 @@ TEST(Scenario, ParserRejectsMalformedInput) {
   EXPECT_NE(error.find("typo"), std::string::npos);
   EXPECT_FALSE(world::scenario_from_json("{\"cluster\":\"mars\"}", &error));
   EXPECT_FALSE(world::scenario_from_json("{\"scale\":-1}", &error));
+  EXPECT_FALSE(world::scenario_from_json("{\"seed\":-1}", &error));
+  EXPECT_NE(error.find("bad value for \"seed\""), std::string::npos) << error;
+  EXPECT_FALSE(world::scenario_from_json("{\"fleet_samples\":-1}", &error));
+  EXPECT_NE(error.find("bad value for \"fleet_samples\""), std::string::npos)
+      << error;
   EXPECT_FALSE(world::scenario_from_json("{\"scale\":\"8\"}", &error));
   EXPECT_FALSE(world::scenario_from_json("{}trailing", &error));
   EXPECT_FALSE(world::scenario_from_json("not json", &error));

@@ -1,5 +1,5 @@
 // ThreadSanitizer stress runner for acme::mc — a plain main (no gtest) so
-// the TSan CI job exercises the replication plan on its task::Pool and
+// the TSan CI job exercises the replication plan on task::parallel_for and
 // concurrent Rng::fork without any uninstrumented test-framework code in the
 // picture. Exits non-zero on any determinism violation; TSan itself fails
 // the job on a data race.
@@ -36,7 +36,6 @@ void stress_replication() {
   serial.seed = 99;
   mc::ReplicationOptions parallel = serial;
   parallel.threads = 4;
-  parallel.chunk = 3;
   const auto a = mc::run_replicas<double>(serial, body);
   const auto b = mc::run_replicas<double>(parallel, body);
   for (std::size_t i = 0; i < a.results.size(); ++i)

@@ -5,8 +5,8 @@
 // a scenario mutation (seed, failure cadence, checkpoint interval, recovery
 // mode) and runs the full seren world — live Table 3 failure injection,
 // §6.1 recovery, scheduler backfill — once serially and as 8 concurrent
-// copies on an 8-wide task::Pool, checking every copy's report digest
-// byte-identical to the serial one. A replica round (world::run_world_mc
+// copies on 8 threads (task::parallel_for), checking every copy's report
+// digest byte-identical to the serial one. A replica round (world::run_world_mc
 // with 4-8 churny replicas at threads = 8 against threads = 1) covers the
 // Monte Carlo path, where each replica re-seeds its own world. Exits
 // non-zero on any digest or failure-count divergence; TSan itself fails the
@@ -52,13 +52,12 @@ void stress_world_churn(common::Rng& rng) {
   const world::WorldReport serial = world::run_world(spec);
   constexpr std::size_t kCopies = 8;
   std::vector<std::uint64_t> copies(kCopies);
-  task::Pool pool(kCopies);
-  pool.parallel_for(kCopies, 1, [&](std::size_t c) {
+  task::parallel_for(kCopies, kCopies, [&](std::size_t c) {
     copies[c] = world::run_world(spec).digest();
   });
   for (std::size_t c = 0; c < kCopies; ++c)
     check(copies[c] == serial.digest(),
-          "copy " + std::to_string(c) + " digest identical on an 8-wide pool "
+          "copy " + std::to_string(c) + " digest identical on 8 threads "
           "(seed " + std::to_string(spec.seed) + ")");
   check(serial.failures_injected > 0,
         "churn actually injected failures (seed " +

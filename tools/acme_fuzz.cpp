@@ -10,9 +10,9 @@
 //   * oracle run (~75%): mutates the base ScenarioSpec within typed bounds,
 //     runs the world straight through, then re-runs it save-at-midpoint →
 //     restore → run-to-end and requires the two WorldReport digests to be
-//     byte-identical. Each iteration also draws a pool width W from
+//     byte-identical. Each iteration also draws a thread count W from
 //     {1, 2, 8} (the workers mutation axis); W > 1 runs W copies of the
-//     accepted mutant concurrently on a task::Pool of that width and
+//     accepted mutant concurrently on W threads (task::parallel_for) and
 //     requires every copy's digest to equal the straight run's. Any
 //     divergence, thrown ACME_CHECK, or crash-by-exception is a finding.
 //
@@ -70,12 +70,11 @@ OracleOutcome oracle_verdict(const world::ScenarioSpec& spec,
     return out;
   }
   // Workers axis: `workers` copies of an accepted mutant, drained
-  // concurrently on a pool of that width, must each reach the straight digest.
+  // concurrently on that many threads, must each reach the straight digest.
   if (workers > 1) {
     try {
       std::vector<std::uint64_t> copies(workers);
-      task::Pool pool(workers);
-      pool.parallel_for(workers, 1, [&](std::size_t c) {
+      task::parallel_for(workers, workers, [&](std::size_t c) {
         copies[c] = world::World(spec).run().digest();
       });
       for (std::size_t c = 0; c < workers; ++c) {
