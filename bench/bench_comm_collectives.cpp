@@ -81,10 +81,10 @@ int main(int argc, char** argv) {
   }
   std::printf("%s  (times in ms)\n", algo.render().c_str());
 
-  const double nvlink_bus = kalos.topology().nvlink_bytes_per_sec(0);
-  const double kalos_nic = kalos.topology().node_nic_bytes_per_sec(0);
+  const double nvlink_bus = kalos.topology().nvlink_bytes_per_sec();
+  const double kalos_nic = kalos.topology().node_nic_bytes_per_sec();
   const comm::CollectiveModel seren(comm::seren_fabric());
-  const double seren_nic = seren.topology().node_nic_bytes_per_sec(0);
+  const double seren_nic = seren.topology().node_nic_bytes_per_sec();
 
   const double intra = allreduce_busbw(kalos, 8, 4 * common::kGiB);
   const double inter = allreduce_busbw(kalos, 2048, 4 * common::kGiB);

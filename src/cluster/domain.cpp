@@ -162,27 +162,4 @@ int DomainTree::datacenters_spanned(NodeId first, int count) const {
          1;
 }
 
-int DomainTree::distinct_spanned(const NodeId* nodes, std::size_t n,
-                                 DomainKind kind) const {
-  if (n == 0 || node_count_ == 0) return 1;
-  int distinct = 0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const DomainId d = level_of(nodes[i], kind);
-    bool seen = false;
-    for (std::size_t j = 0; j < i && !seen; ++j) {
-      seen = level_of(nodes[j], kind) == d;
-    }
-    distinct += seen ? 0 : 1;
-  }
-  return distinct;
-}
-
-int DomainTree::pods_spanned(const NodeId* nodes, std::size_t n) const {
-  return distinct_spanned(nodes, n, DomainKind::kPod);
-}
-
-int DomainTree::datacenters_spanned(const NodeId* nodes, std::size_t n) const {
-  return distinct_spanned(nodes, n, DomainKind::kDatacenter);
-}
-
 }  // namespace acme::cluster

@@ -63,16 +63,9 @@ class DomainTree {
   // domain spans are contiguous and level ids ascend with first_node.
   int pods_spanned(NodeId first, int count) const;
   int datacenters_spanned(NodeId first, int count) const;
-  // Exact distinct-domain counts for an arbitrary node set (non-contiguous
-  // multi-pod placements). O(n^2) over the set but allocation-free; sets
-  // are probe/placement sized, not cluster sized.
-  int pods_spanned(const NodeId* nodes, std::size_t n) const;
-  int datacenters_spanned(const NodeId* nodes, std::size_t n) const;
 
  private:
   DomainId level_of(NodeId node, DomainKind kind) const;
-  int distinct_spanned(const NodeId* nodes, std::size_t n,
-                       DomainKind kind) const;
 
   // SoA per-domain state, indexed by DomainId.
   std::vector<std::uint8_t> kind_;

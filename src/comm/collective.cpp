@@ -34,11 +34,9 @@ int ceil_log2(int n) {
 
 void validate(const World& w, double bytes) {
   ACME_CHECK(w.gpus > 0);
-  ACME_CHECK(w.first_node >= 0);
   ACME_CHECK(w.ranks_per_node >= 0);
   ACME_CHECK(w.nic_share >= 1);
   ACME_CHECK(bytes >= 0);
-  ACME_CHECK(w.node_set == nullptr || w.node_set_size > 0);
 }
 
 // Records one cost-model query. Counted at each public entry point, so a
@@ -59,47 +57,20 @@ void observe_collective(const char* op, const CollectiveCost& c) {
 }  // namespace
 
 int CollectiveModel::nodes(const World& w) const {
-  if (w.node_set != nullptr) return w.node_set_size;
   return topo_.nodes_for(w.gpus, w.ranks_per_node);
 }
 
-cluster::NodeId CollectiveModel::representative_node(const World& w) const {
-  return w.node_set != nullptr && w.node_set_size > 0 ? w.node_set[0]
-                                                      : w.first_node;
-}
-
-double CollectiveModel::world_min_scale(const World& w, int span_nodes) const {
-  if (w.node_set != nullptr) {
-    return topo_.min_link_scale(w.node_set,
-                                static_cast<std::size_t>(w.node_set_size));
-  }
-  return topo_.min_link_scale(w.first_node, span_nodes);
-}
-
 FabricTopology::TierSpan CollectiveModel::tiers(const World& w) const {
-  if (w.node_set != nullptr) {
-    return topo_.tier_span(w.node_set,
-                           static_cast<std::size_t>(w.node_set_size));
-  }
-  return topo_.tier_span(w.first_node, nodes(w));
+  return topo_.tier_span(nodes(w));
 }
 
-CollectiveModel::LinkTerms CollectiveModel::nvlink_terms(const World& w) const {
-  const int n = nodes(w);
-  const cluster::NodeId rep = representative_node(w);
-  // A hierarchical stage synchronizes across nodes, so the slowest node's
-  // NVLink paces every intra-node stage in the span.
-  const double bw = topo_.nvlink_bytes_per_sec(rep) / topo_.link_scale(rep) *
-                    world_min_scale(w, n);
-  return {topo_.nvlink_alpha(), 1.0 / bw};
+CollectiveModel::LinkTerms CollectiveModel::nvlink_terms() const {
+  return {topo_.nvlink_alpha(), 1.0 / topo_.nvlink_bytes_per_sec()};
 }
 
 CollectiveModel::LinkTerms CollectiveModel::inter_node_terms(const World& w) const {
-  const int n = nodes(w);
-  const cluster::NodeId rep = representative_node(w);
-  const double bw = topo_.node_nic_bytes_per_sec(rep) / topo_.link_scale(rep) *
-                    world_min_scale(w, n) /
-                    static_cast<double>(w.nic_share);
+  const double bw =
+      topo_.node_nic_bytes_per_sec() / static_cast<double>(w.nic_share);
   return {topo_.nic_alpha(), 1.0 / bw};
 }
 
@@ -118,7 +89,7 @@ CollectiveModel::LinkTerms CollectiveModel::longhaul_terms(const World& w) const
 }
 
 CollectiveModel::LinkTerms CollectiveModel::flat_link(const World& w) const {
-  return nodes(w) == 1 ? nvlink_terms(w) : inter_node_terms(w);
+  return nodes(w) == 1 ? nvlink_terms() : inter_node_terms(w);
 }
 
 CollectiveCost CollectiveModel::all_gather(const World& w, double bytes,
@@ -135,7 +106,7 @@ CollectiveCost CollectiveModel::all_gather(const World& w, double bytes,
       // stage 2: inter-node all-gather of the per-node slab g*s over IB.
       const int g = (p + n - 1) / n;
       const double s = bytes / p;
-      const auto nv = nvlink_terms(w);
+      const auto nv = nvlink_terms();
       const auto ib = inter_node_terms(w);
       const auto ts = tiers(w);
       if (ts.pods > 1 || ts.datacenters > 1) {
@@ -203,7 +174,7 @@ CollectiveCost CollectiveModel::all_reduce(const World& w, double bytes,
       // (each node moves the whole payload through its NIC aggregate, the g
       // local shards in parallel), intra-node all-gather.
       const int g = (p + n - 1) / n;
-      const auto nv = nvlink_terms(w);
+      const auto nv = nvlink_terms();
       const auto ib = inter_node_terms(w);
       const auto ts = tiers(w);
       if (ts.pods > 1 || ts.datacenters > 1) {
@@ -251,103 +222,6 @@ CollectiveCost CollectiveModel::all_reduce(const World& w, double bytes,
   return cost;
 }
 
-CollectiveCost CollectiveModel::broadcast(const World& w, double bytes,
-                                          Algorithm algorithm) const {
-  const CollectiveCost cost = [&]() -> CollectiveCost {
-    validate(w, bytes);
-    const int p = w.gpus;
-    CollectiveCost c;
-    if (p == 1) return c;
-    const int n = nodes(w);
-
-    if (algorithm == Algorithm::kHierarchical && n > 1) {
-      const int g = (p + n - 1) / n;
-      const auto nv = nvlink_terms(w);
-      const auto ib = inter_node_terms(w);
-      const auto ts = tiers(w);
-      if (ts.pods > 1 || ts.datacenters > 1) {
-        // Tiered tree: one DC root fans out across datacenters, pod roots
-        // fan out across the spine, node roots across the pod rails, then
-        // NVLink inside each node. The payload crosses each tier once.
-        const int d = ts.datacenters;
-        const int pods = ts.pods;
-        const int n_pod = (n + pods - 1) / pods;
-        const int p_dc = (pods + d - 1) / d;
-        const auto sp = spine_terms(w);
-        const auto lh = longhaul_terms(w);
-        c.hops = ceil_log2(d) + ceil_log2(p_dc) + ceil_log2(n_pod) +
-                 ceil_log2(g);
-        c.latency_seconds = ceil_log2(d) * lh.alpha +
-                            ceil_log2(p_dc) * sp.alpha +
-                            ceil_log2(n_pod) * ib.alpha +
-                            ceil_log2(g) * nv.alpha;
-        c.bandwidth_seconds = bytes * (ib.beta + nv.beta +
-                                       (p_dc > 1 ? sp.beta : 0.0) +
-                                       (d > 1 ? lh.beta : 0.0));
-        return c;
-      }
-      c.hops = ceil_log2(n) + ceil_log2(g);
-      c.latency_seconds = ceil_log2(n) * ib.alpha + ceil_log2(g) * nv.alpha;
-      c.bandwidth_seconds = bytes * ib.beta + bytes * nv.beta;
-      return c;
-    }
-    const auto link = flat_link(w);
-    if (algorithm == Algorithm::kRing) {
-      // Pipelined chain: (p-1) launch hops, payload crosses each link once.
-      c.hops = p - 1;
-      c.latency_seconds = c.hops * link.alpha;
-      c.bandwidth_seconds = bytes * link.beta;
-      return c;
-    }
-    c.hops = ceil_log2(p);
-    c.latency_seconds = c.hops * link.alpha;
-    c.bandwidth_seconds = bytes * link.beta;
-    return c;
-  }();
-  if (obs::enabled()) observe_collective("broadcast", cost);
-  return cost;
-}
-
-CollectiveCost CollectiveModel::all_to_all(const World& w, double bytes) const {
-  const CollectiveCost cost = [&]() -> CollectiveCost {
-    validate(w, bytes);
-    const int p = w.gpus;
-    CollectiveCost c;
-    if (p == 1) return c;
-    const int n = nodes(w);
-    c.hops = p - 1;
-    if (n == 1) {
-      const auto nv = nvlink_terms(w);
-      c.latency_seconds = c.hops * nv.alpha;
-      c.bandwidth_seconds = (p - 1) * bytes / p * nv.beta;
-      return c;
-    }
-    // Each node's g ranks send the off-node slice of their buffers through the
-    // shared NIC aggregate: g * S * (p - g) / p bytes per direction.
-    const int g = (p + n - 1) / n;
-    auto ib = inter_node_terms(w);
-    // All-to-all traffic is uniformly spread, so when the world crosses
-    // pods/datacenters the slowest tier's per-byte cost bottlenecks the
-    // exchange (the spine/long-haul carry nearly the full slab).
-    const auto ts = tiers(w);
-    if (ts.pods > 1) {
-      const auto sp = spine_terms(w);
-      ib.alpha = std::max(ib.alpha, sp.alpha);
-      ib.beta = std::max(ib.beta, sp.beta);
-    }
-    if (ts.datacenters > 1) {
-      const auto lh = longhaul_terms(w);
-      ib.alpha = std::max(ib.alpha, lh.alpha);
-      ib.beta = std::max(ib.beta, lh.beta);
-    }
-    c.latency_seconds = c.hops * ib.alpha;
-    c.bandwidth_seconds = static_cast<double>(g) * bytes * (p - g) / p * ib.beta;
-    return c;
-  }();
-  if (obs::enabled()) observe_collective("all_to_all", cost);
-  return cost;
-}
-
 double CollectiveModel::bringup_seconds(const World& w) const {
   ACME_CHECK(w.gpus > 0);
   double t = kBringupBaseSeconds + kBringupPerNodeSeconds * nodes(w);
@@ -371,30 +245,6 @@ double CollectiveModel::probe_round_seconds(int node_count,
                  world_nodes > 1 ? Algorithm::kHierarchical : Algorithm::kRing)
           .seconds();
   return kBringupBaseSeconds + kBringupPerNodeSeconds * node_count + gather;
-}
-
-double CollectiveModel::probe_round_seconds(const cluster::NodeId* probe,
-                                            std::size_t count,
-                                            double probe_bytes) const {
-  ACME_CHECK(probe != nullptr && count > 0);
-  ACME_CHECK(probe_bytes > 0);
-  // Same structure as the span form, but slowest-member pacing and the
-  // datacenter crossings come from the explicit set: the slowest 2-3-node
-  // probe world contains the slowest member, and a probe set spanning
-  // datacenters rendezvouses over the long haul.
-  const int world_nodes = static_cast<int>(std::min<std::size_t>(count, 3));
-  World probe_world;
-  probe_world.gpus = world_nodes * topo_.gpus_per_node();
-  CollectiveCost gather =
-      all_gather(probe_world, probe_bytes,
-                 world_nodes > 1 ? Algorithm::kHierarchical : Algorithm::kRing);
-  gather.bandwidth_seconds /= topo_.min_link_scale(probe, count);
-  double t = kBringupBaseSeconds +
-             kBringupPerNodeSeconds * static_cast<double>(count) +
-             gather.seconds();
-  const auto ts = topo_.tier_span(probe, count);
-  if (ts.datacenters > 1) t += (ts.datacenters - 1) * kCrossDcBringupSeconds;
-  return t;
 }
 
 double bus_bandwidth_allreduce(int gpus, double bytes, double seconds) {

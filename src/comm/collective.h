@@ -1,17 +1,16 @@
 // Analytic collective cost models over the fabric topology.
 //
 // Alpha-beta costs for the collectives LLM training actually issues (ring
-// and tree all-reduce, all-gather, reduce-scatter, broadcast, all-to-all),
-// plus the hierarchical two-stage variants (intra-node NVLink stage, then
-// inter-node IB stage) that make multi-node worlds affordable. Each call
-// returns a breakdown — latency term, bandwidth term, serialized hops — so
-// callers can reason about which regime they are in, and bus-bandwidth
-// helpers convert measured times into the figure nccl-tests print.
+// and tree all-reduce, all-gather, reduce-scatter), plus the hierarchical
+// two-stage variants (intra-node NVLink stage, then inter-node IB stage)
+// that make multi-node worlds affordable. Each call returns a breakdown —
+// latency term, bandwidth term, serialized hops — so callers can reason
+// about which regime they are in, and bus-bandwidth helpers convert
+// measured times into the figure nccl-tests print.
 //
 // Byte convention (NCCL's): `bytes` is the logical collective payload S —
-// the buffer being reduced for all-reduce/broadcast, the full concatenated
-// result for all-gather, the full input for reduce-scatter, and the per-rank
-// send buffer for all-to-all.
+// the buffer being reduced for all-reduce, the full concatenated result for
+// all-gather, and the full input for reduce-scatter.
 #pragma once
 
 #include "comm/topology.h"
@@ -27,23 +26,16 @@ struct CollectiveCost {
   double seconds() const { return latency_seconds + bandwidth_seconds; }
 };
 
-// A communicator: `gpus` ranks placed contiguously from `first_node`, or —
-// when `node_set` is non-null — on an explicit (possibly non-contiguous)
-// node list, which is how multi-pod placements price slowest-member and
-// tier crossings correctly.
+// A communicator: `gpus` ranks on the contiguous, healthy node span
+// [0, nodes).
 struct World {
   int gpus = 8;
-  cluster::NodeId first_node = 0;
   // Ranks per node; 0 means packed placement (the topology's gpus_per_node).
   // Gradient all-reduce groups in tp x pp layouts place one rank per node.
   int ranks_per_node = 0;
   // Co-resident communicators sharing each node's NICs (e.g. the 8 per-node
   // gradient rings of a tp=8 layout). Divides the per-node IB bandwidth.
   int nic_share = 1;
-  // Optional explicit node placement; overrides the contiguous span. The
-  // pointed-to array must outlive the query (no copy is taken).
-  const cluster::NodeId* node_set = nullptr;
-  int node_set_size = 0;
 };
 
 class CollectiveModel {
@@ -51,7 +43,6 @@ class CollectiveModel {
   explicit CollectiveModel(FabricConfig config) : topo_(std::move(config)) {}
   explicit CollectiveModel(FabricTopology topology) : topo_(std::move(topology)) {}
 
-  FabricTopology& topology() { return topo_; }
   const FabricTopology& topology() const { return topo_; }
 
   CollectiveCost all_reduce(const World& w, double bytes,
@@ -60,11 +51,6 @@ class CollectiveModel {
                             Algorithm algorithm = Algorithm::kRing) const;
   CollectiveCost reduce_scatter(const World& w, double bytes,
                                 Algorithm algorithm = Algorithm::kRing) const;
-  CollectiveCost broadcast(const World& w, double bytes,
-                           Algorithm algorithm = Algorithm::kTree) const;
-  // Pairwise exchange (MoE dispatch/combine): every rank sends bytes/p to
-  // every peer.
-  CollectiveCost all_to_all(const World& w, double bytes) const;
 
   // NCCL communicator bring-up plus scheduler launch: bootstrap rendezvous
   // and ring/tree graph construction grow with node count. Calibrated so a
@@ -78,10 +64,6 @@ class CollectiveModel {
   // through the same launcher) plus the slowest world's all-gather.
   double probe_round_seconds(int node_count,
                              double probe_bytes = 128.0 * 1024 * 1024) const;
-  // Explicit-set variant: the slowest member and any datacenter crossings
-  // come from the actual probe set instead of an assumed [0, n) span.
-  double probe_round_seconds(const cluster::NodeId* probe, std::size_t count,
-                             double probe_bytes = 128.0 * 1024 * 1024) const;
 
   // Number of nodes `w` spans.
   int nodes(const World& w) const;
@@ -93,7 +75,7 @@ class CollectiveModel {
   };
   // Bottleneck link of a flat (single-stage) collective over `w`.
   LinkTerms flat_link(const World& w) const;
-  LinkTerms nvlink_terms(const World& w) const;
+  LinkTerms nvlink_terms() const;
   LinkTerms inter_node_terms(const World& w) const;
   // Tier links above the node NIC; fall back to the NIC terms when the
   // fabric has no configured spine/long-haul (flat clusters).
@@ -102,8 +84,6 @@ class CollectiveModel {
   // Pods/datacenters the world's placement crosses ({1, 1} on flat fabrics:
   // every pre-hierarchy formula is reproduced bit-for-bit through that path).
   FabricTopology::TierSpan tiers(const World& w) const;
-  double world_min_scale(const World& w, int span_nodes) const;
-  cluster::NodeId representative_node(const World& w) const;
 
   FabricTopology topo_;
 };

@@ -75,10 +75,8 @@ FabricTopology::FabricTopology(FabricConfig config) : config_(std::move(config))
   ACME_CHECK(config_.nic_efficiency > 0 && config_.nic_efficiency <= 1.0);
   ACME_CHECK(config_.spine.bytes_per_sec >= 0 &&
              config_.longhaul.bytes_per_sec >= 0);
-  if (config_.node_count > 0) {
+  if (config_.node_count > 0)
     domains_ = cluster::DomainTree(config_.node_count, config_.topology);
-    link_scale_.assign(static_cast<std::size_t>(config_.node_count), 1.0);
-  }
 }
 
 int FabricTopology::nodes_for(int gpus, int ranks_per_node) const {
@@ -87,81 +85,21 @@ int FabricTopology::nodes_for(int gpus, int ranks_per_node) const {
   return (gpus + per_node - 1) / per_node;
 }
 
-double FabricTopology::nvlink_bytes_per_sec(cluster::NodeId node) const {
-  return config_.nvlink.bytes_per_sec * link_scale(node);
-}
-
-double FabricTopology::node_nic_bytes_per_sec(cluster::NodeId node) const {
+double FabricTopology::node_nic_bytes_per_sec() const {
   double per_nic = config_.nic.bytes_per_sec * config_.nic_efficiency;
   if (config_.nic_shared_with_storage) per_nic *= kSharedNicComputeShare;
-  return per_nic * config_.compute_nics * link_scale(node);
+  return per_nic * config_.compute_nics;
 }
 
-void FabricTopology::set_link_scale(cluster::NodeId node, double factor) {
-  ACME_CHECK_MSG(factor > 0, "link scale must be positive");
-  ACME_CHECK(node >= 0);
-  if (static_cast<std::size_t>(node) >= link_scale_.size()) {
-    if (factor == 1.0) return;
-    link_scale_.resize(static_cast<std::size_t>(node) + 1, 1.0);
-  }
-  double& slot = link_scale_[static_cast<std::size_t>(node)];
-  degraded_ += (factor != 1.0) - (slot != 1.0);
-  slot = factor;
-}
-
-double FabricTopology::link_scale(cluster::NodeId node) const {
-  if (degraded_ == 0) return 1.0;
-  const auto i = static_cast<std::size_t>(node);
-  return i < link_scale_.size() ? link_scale_[i] : 1.0;
-}
-
-void FabricTopology::clear_link_scales() {
-  std::fill(link_scale_.begin(), link_scale_.end(), 1.0);
-  degraded_ = 0;
-}
-
-double FabricTopology::min_link_scale(cluster::NodeId first, int count) const {
-  if (degraded_ == 0) return 1.0;
-  double min_scale = 1.0;
-  const auto lo = static_cast<std::size_t>(std::max(first, 0));
-  const auto hi = std::min(static_cast<std::size_t>(std::max(first + count, 0)),
-                           link_scale_.size());
-  for (std::size_t i = lo; i < hi; ++i)
-    min_scale = std::min(min_scale, link_scale_[i]);
-  return min_scale;
-}
-
-double FabricTopology::min_link_scale(const cluster::NodeId* nodes,
-                                      std::size_t count) const {
-  if (degraded_ == 0) return 1.0;
-  double min_scale = 1.0;
-  for (std::size_t i = 0; i < count; ++i)
-    min_scale = std::min(min_scale, link_scale(nodes[i]));
-  return min_scale;
-}
-
-FabricTopology::TierSpan FabricTopology::tier_span(cluster::NodeId first,
-                                                   int count) const {
+FabricTopology::TierSpan FabricTopology::tier_span(int count) const {
   TierSpan span;
   if (domains_.trivial() || domains_.node_count() == 0 || count <= 0)
     return span;
-  // Clamp to the tree: legacy callers occasionally price hypothetical
-  // worlds wider than the configured cluster.
-  const int max_count = domains_.node_count() - first;
-  if (first < 0 || max_count <= 0) return span;
-  span.pods = domains_.pods_spanned(first, std::min(count, max_count));
-  span.datacenters =
-      domains_.datacenters_spanned(first, std::min(count, max_count));
-  return span;
-}
-
-FabricTopology::TierSpan FabricTopology::tier_span(
-    const cluster::NodeId* nodes, std::size_t count) const {
-  TierSpan span;
-  if (domains_.trivial() || domains_.node_count() == 0 || count == 0)
-    return span;
-  span.pods = domains_.pods_spanned(nodes, count);
-  span.datacenters = domains_.datacenters_spanned(nodes, count);
+  // Clamp to the tree: callers may price hypothetical worlds wider than
+  // the configured cluster.
+  count = std::min(count, domains_.node_count());
+  span.pods = domains_.pods_spanned(0, count);
+  span.datacenters = domains_.datacenters_spanned(0, count);
   return span;
 }
 

@@ -11,15 +11,10 @@
 //
 // Every link carries an alpha (per-hop message latency) and beta
 // (1/bandwidth) term — the standard alpha-beta cost model used by
-// fine-grained LLM-cluster simulators. Per-node degradation hooks
-// (`set_link_scale`) shrink a node's link bandwidth for straggler and
-// fault-injection experiments: any collective whose world spans the degraded
-// node is slowed; collectives elsewhere are untouched.
+// fine-grained LLM-cluster simulators.
 #pragma once
 
-#include <cstddef>
 #include <string>
-#include <vector>
 
 #include "cluster/domain.h"
 #include "cluster/spec.h"
@@ -81,36 +76,23 @@ class FabricTopology {
   double nvlink_alpha() const { return config_.nvlink.alpha_seconds; }
   double nic_alpha() const { return config_.nic.alpha_seconds; }
 
-  // Effective bandwidths with per-node degradation applied.
-  double nvlink_bytes_per_sec(cluster::NodeId node) const;
+  // NVLink bus rate a ring collective sustains inside one node.
+  double nvlink_bytes_per_sec() const { return config_.nvlink.bytes_per_sec; }
   // Aggregate collective bandwidth of one node's compute NICs, after
-  // efficiency derating, the storage share, and degradation.
-  double node_nic_bytes_per_sec(cluster::NodeId node) const;
-
-  // Degraded-link injection for straggler experiments: scales both the
-  // node's NVLink and its NIC aggregate by `factor` (0 < factor; <1 =
-  // degraded, 1 = healthy, >1 = hypothetical upgrade).
-  void set_link_scale(cluster::NodeId node, double factor);
-  double link_scale(cluster::NodeId node) const;
-  void clear_link_scales();
-  // Slowest link scale across the contiguous node span [first, first+count):
-  // a collective runs at the pace of its slowest member.
-  double min_link_scale(cluster::NodeId first, int count) const;
-  // Slowest member over an explicit node set — non-contiguous multi-pod
-  // placements price correctly instead of assuming [first, first+count).
-  double min_link_scale(const cluster::NodeId* nodes, std::size_t count) const;
+  // efficiency derating and the storage share.
+  double node_nic_bytes_per_sec() const;
 
   // The domain hierarchy the fabric spans (degenerate single-pod tree for
   // flat configs with no node count).
   const cluster::DomainTree& domains() const { return domains_; }
-  // Tiers crossed by a communicator's node span; hierarchical collectives
-  // price one stage per crossed tier. {1, 1} on flat fabrics.
+  // Tiers crossed by a communicator on the node span [0, count);
+  // hierarchical collectives price one stage per crossed tier. {1, 1} on
+  // flat fabrics.
   struct TierSpan {
     int pods = 1;
     int datacenters = 1;
   };
-  TierSpan tier_span(cluster::NodeId first, int count) const;
-  TierSpan tier_span(const cluster::NodeId* nodes, std::size_t count) const;
+  TierSpan tier_span(int count) const;
 
   // Effective per-communicator tier bandwidths (0 = tier disabled).
   double spine_bytes_per_sec() const { return config_.spine.bytes_per_sec; }
@@ -123,11 +105,6 @@ class FabricTopology {
  private:
   FabricConfig config_;
   cluster::DomainTree domains_;
-  // Dense per-node degradation factors (1.0 = healthy), grown on demand;
-  // nodes beyond the vector are healthy. degraded_ counts entries != 1.0 so
-  // the healthy-fabric fast path is one branch.
-  std::vector<double> link_scale_;
-  int degraded_ = 0;
 };
 
 }  // namespace acme::comm

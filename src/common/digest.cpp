@@ -4,20 +4,6 @@
 
 namespace acme::common {
 
-std::uint64_t fnv1a(std::string_view bytes) {
-  return Fnv1a().update(bytes).digest();
-}
-
-Fnv1a& Fnv1a::update(std::string_view bytes) {
-  std::uint64_t h = state_;
-  for (char c : bytes) {
-    h ^= static_cast<unsigned char>(c);
-    h *= kFnv1aPrime;
-  }
-  state_ = h;
-  return *this;
-}
-
 std::string fnv1a_hex(std::uint64_t digest) {
   char buf[17];
   std::snprintf(buf, sizeof(buf), "%016llx",

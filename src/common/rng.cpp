@@ -3,6 +3,8 @@
 #include <cmath>
 #include <numbers>
 
+#include "common/digest.h"
+
 namespace acme::common {
 namespace {
 
@@ -15,16 +17,6 @@ std::uint64_t splitmix64(std::uint64_t& x) {
 }
 
 std::uint64_t rotl(std::uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
-
-// FNV-1a over a label, used to derive child stream seeds.
-std::uint64_t hash_label(std::string_view label) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (unsigned char c : label) {
-    h ^= c;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
 
 // Doornik (2005), "An Improved Ziggurat Method to Generate Normal Random
 // Samples": 128 equal-area layers under the half-normal density. Layer 0 is
@@ -63,7 +55,8 @@ Rng::Rng(std::uint64_t seed) : seed_material_(seed) {
 }
 
 Rng Rng::fork(std::string_view label) const {
-  return Rng(seed_material_ ^ hash_label(label) ^ 0xa5a5a5a5a5a5a5a5ULL);
+  // FNV-1a over the label derives the child stream seed.
+  return Rng(seed_material_ ^ fnv1a(label) ^ 0xa5a5a5a5a5a5a5a5ULL);
 }
 
 std::uint64_t Rng::next() {

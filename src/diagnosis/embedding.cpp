@@ -4,31 +4,23 @@
 #include <cmath>
 #include <map>
 
+#include "common/digest.h"
 #include "diagnosis/log_template.h"
 
 namespace acme::diagnosis {
 namespace {
-
-std::uint64_t fnv1a(const std::string& s) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (unsigned char c : s) {
-    h ^= c;
-    h *= 0x100000001b3ULL;
-  }
-  return h;
-}
 
 void accumulate(const std::string& line, Embedding& acc) {
   // Template-normalize so volatile tokens (ranks, addresses) don't scatter
   // otherwise-identical errors across the feature space.
   for (const auto& token : tokenize(line_template(line))) {
     if (token == "<*>") continue;
-    const std::uint64_t h = fnv1a(token);
+    const std::uint64_t h = common::fnv1a(token);
     const std::size_t idx = h % kEmbeddingDim;
     const float sign = (h >> 63) ? 1.0f : -1.0f;
     acc[idx] += sign;
     // A second hash position reduces collisions (2-way feature hashing).
-    const std::uint64_t h2 = fnv1a(token + "#2");
+    const std::uint64_t h2 = common::fnv1a(token + "#2");
     acc[h2 % kEmbeddingDim] += (h2 >> 63) ? 1.0f : -1.0f;
   }
 }

@@ -123,15 +123,6 @@ std::vector<double> Histogram::exponential_buckets(double start, double factor,
   return out;
 }
 
-std::vector<double> Histogram::linear_buckets(double start, double width,
-                                              int count) {
-  ACME_CHECK(width > 0 && count > 0);
-  std::vector<double> out;
-  out.reserve(static_cast<std::size_t>(count));
-  for (int i = 0; i < count; ++i) out.push_back(start + width * i);
-  return out;
-}
-
 MetricsRegistry::Entry& MetricsRegistry::find_or_create(const std::string& name,
                                                         const std::string& help,
                                                         const Labels& labels,
@@ -158,14 +149,6 @@ Counter& MetricsRegistry::counter(const std::string& name, const std::string& he
   return *e.counter;
 }
 
-Gauge& MetricsRegistry::gauge(const std::string& name, const std::string& help,
-                              const Labels& labels) {
-  std::lock_guard lock(mu_);
-  Entry& e = find_or_create(name, help, labels, Kind::kGauge);
-  if (!e.gauge) e.gauge = std::make_unique<Gauge>();
-  return *e.gauge;
-}
-
 Histogram& MetricsRegistry::histogram(const std::string& name,
                                       const std::string& help,
                                       std::vector<double> upper_bounds,
@@ -187,9 +170,7 @@ std::string MetricsRegistry::prometheus_text() const {
   std::string last_name;  // HELP/TYPE emitted once per metric family
   for (const auto& [key, e] : entries_) {
     if (e.name != last_name) {
-      const char* type = e.kind == Kind::kCounter   ? "counter"
-                         : e.kind == Kind::kGauge   ? "gauge"
-                                                    : "histogram";
+      const char* type = e.kind == Kind::kCounter ? "counter" : "histogram";
       out << "# HELP " << e.name << " " << escape_help(e.help) << "\n";
       out << "# TYPE " << e.name << " " << type << "\n";
       last_name = e.name;
@@ -198,10 +179,6 @@ std::string MetricsRegistry::prometheus_text() const {
       case Kind::kCounter:
         out << e.name << label_block(e.labels) << " " << e.counter->value()
             << "\n";
-        break;
-      case Kind::kGauge:
-        out << e.name << label_block(e.labels) << " "
-            << format_value(e.gauge->value()) << "\n";
         break;
       case Kind::kHistogram: {
         const auto& h = *e.histogram;
@@ -223,76 +200,20 @@ std::string MetricsRegistry::prometheus_text() const {
   return out.str();
 }
 
-std::string MetricsRegistry::json_snapshot() const {
-  std::lock_guard lock(mu_);
-  std::ostringstream out;
-  out << "{\n  \"metrics\": [";
-  bool first = true;
-  for (const auto& [key, e] : entries_) {
-    out << (first ? "\n" : ",\n");
-    first = false;
-    out << "    {\"name\": \"" << e.name << "\"";
-    if (!e.labels.empty()) {
-      out << ", \"labels\": {";
-      for (std::size_t i = 0; i < e.labels.size(); ++i) {
-        if (i) out << ", ";
-        out << "\"" << e.labels[i].first << "\": \""
-            << escape_label(e.labels[i].second) << "\"";
-      }
-      out << "}";
-    }
-    switch (e.kind) {
-      case Kind::kCounter:
-        out << ", \"type\": \"counter\", \"value\": " << e.counter->value();
-        break;
-      case Kind::kGauge:
-        out << ", \"type\": \"gauge\", \"value\": "
-            << format_value(e.gauge->value());
-        break;
-      case Kind::kHistogram: {
-        const auto& h = *e.histogram;
-        out << ", \"type\": \"histogram\", \"count\": " << h.count()
-            << ", \"sum\": " << format_value(h.sum()) << ", \"buckets\": [";
-        for (std::size_t i = 0; i < h.upper_bounds().size(); ++i) {
-          if (i) out << ", ";
-          out << "{\"le\": " << format_value(h.upper_bounds()[i])
-              << ", \"cumulative\": " << h.cumulative(i) << "}";
-        }
-        out << "]";
-        break;
-      }
-    }
-    out << "}";
-  }
-  out << "\n  ]\n}\n";
-  return out.str();
-}
-
-namespace {
-bool write_text(const std::string& path, const std::string& text) {
+bool MetricsRegistry::write_prometheus(const std::string& path) const {
   std::ofstream out(path, std::ios::trunc);
   if (!out.good()) {
     std::fprintf(stderr, "[obs] cannot write %s\n", path.c_str());
     return false;
   }
-  out << text;
+  out << prometheus_text();
   return out.good();
-}
-}  // namespace
-
-bool MetricsRegistry::write_prometheus(const std::string& path) const {
-  return write_text(path, prometheus_text());
-}
-
-bool MetricsRegistry::write_json(const std::string& path) const {
-  return write_text(path, json_snapshot());
 }
 
 void MetricsRegistry::reset() {
   std::lock_guard lock(mu_);
   for (auto& [key, e] : entries_) {
     if (e.counter) e.counter->reset();
-    if (e.gauge) e.gauge->reset();
     if (e.histogram) e.histogram->reset();
   }
 }

@@ -1,10 +1,10 @@
 // Self-observability metrics for the simulator itself (DESIGN.md §8).
 //
-// A small Prometheus-flavoured registry: counters, gauges and fixed-bucket
-// histograms with text exposition and a JSON snapshot writer. This observes
-// the *program* — event-dispatch rates, queue depths, placement decisions —
-// and is deliberately distinct from acme::telemetry, which models the
-// *cluster's* monitoring stack (DCGM/IPMI/Prometheus signals of the simulated
+// A small Prometheus-flavoured registry: counters and fixed-bucket
+// histograms with text exposition. This observes the *program* —
+// event-dispatch rates, queue depths, placement decisions — and is
+// deliberately distinct from acme::telemetry, which models the *cluster's*
+// monitoring stack (DCGM/IPMI/Prometheus signals of the simulated
 // datacenter).
 //
 // Determinism contract: snapshots must be byte-identical across runs and
@@ -12,8 +12,7 @@
 // histogram bucket counts are integer atomics, whose concurrent increments
 // commute; histogram sums are accumulated in fixed-point microunits (int64)
 // for the same reason — floating-point addition does not commute, a
-// fixed-point sum does. Gauges are last-write-wins and therefore must only be
-// set from deterministic (single-threaded) contexts.
+// fixed-point sum does.
 //
 // Instrumentation points cache the returned references in function-local
 // statics; the registry never destroys a registered metric, so the handles
@@ -45,19 +44,6 @@ class Counter {
   std::atomic<std::uint64_t> value_{0};
 };
 
-// Last-write-wins double. Only set gauges from single-threaded contexts if
-// the snapshot must stay deterministic (see the contract above).
-class Gauge {
- public:
-  void set(double v) { value_.store(v, std::memory_order_relaxed); }
-  void add(double d) { value_.fetch_add(d, std::memory_order_relaxed); }
-  double value() const { return value_.load(std::memory_order_relaxed); }
-  void reset() { value_.store(0.0, std::memory_order_relaxed); }
-
- private:
-  std::atomic<double> value_{0.0};
-};
-
 // Histogram over a fixed bucket layout (upper bounds, ascending; an implicit
 // +Inf bucket is appended). Observation is two relaxed atomic adds.
 class Histogram {
@@ -75,11 +61,10 @@ class Histogram {
   const std::vector<double>& upper_bounds() const { return bounds_; }
   void reset();
 
-  // Standard layouts: `count` buckets starting at `start`, multiplied by
-  // `factor` (exponential) or advanced by `width` (linear).
+  // Standard layout: `count` buckets starting at `start`, each `factor`
+  // times the previous.
   static std::vector<double> exponential_buckets(double start, double factor,
                                                  int count);
-  static std::vector<double> linear_buckets(double start, double width, int count);
 
  private:
   std::vector<double> bounds_;
@@ -107,32 +92,26 @@ class MetricsRegistry {
   // histogram with a different bucket layout) throws CheckError.
   Counter& counter(const std::string& name, const std::string& help,
                    const Labels& labels = {});
-  Gauge& gauge(const std::string& name, const std::string& help,
-               const Labels& labels = {});
   Histogram& histogram(const std::string& name, const std::string& help,
                        std::vector<double> upper_bounds, const Labels& labels = {});
 
   // Prometheus text exposition, metrics sorted by (name, labels) so the bytes
   // are a deterministic function of the recorded values.
   std::string prometheus_text() const;
-  // JSON snapshot with the same ordering guarantee.
-  std::string json_snapshot() const;
   bool write_prometheus(const std::string& path) const;
-  bool write_json(const std::string& path) const;
 
   // Zeroes every registered metric in place; handles stay valid.
   void reset();
   std::size_t size() const;
 
  private:
-  enum class Kind { kCounter, kGauge, kHistogram };
+  enum class Kind { kCounter, kHistogram };
   struct Entry {
     std::string name;
     std::string help;
     Labels labels;
     Kind kind;
     std::unique_ptr<Counter> counter;
-    std::unique_ptr<Gauge> gauge;
     std::unique_ptr<Histogram> histogram;
   };
   Entry& find_or_create(const std::string& name, const std::string& help,

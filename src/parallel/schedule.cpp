@@ -19,7 +19,8 @@ constexpr double kZeroCommOverlap = 0.90;
 // At most this share of the steady 1F1B span can be re-attributed to the
 // tensor-parallel stall phase; the sustained-efficiency constant already
 // prices the collectives in, so carving more would double-count. Wire time
-// beyond the cap (degraded NVLink) extends the step instead.
+// beyond the cap (a tp group wider than one NVLink island) extends the step
+// instead.
 constexpr double kTpStallCarveCap = 0.30;
 
 }  // namespace
@@ -116,7 +117,8 @@ StepTimeline PretrainExecutionModel::step_3d(const ThreeDConfig& pc) const {
       4.0 * layers_per_stage * m * comm_.all_reduce(tp_world, act_bytes).seconds();
   // The sustained-efficiency constant already pays for healthy-fabric
   // collectives, so the stall is carved out of the steady span up to a cap;
-  // wire time beyond the cap (e.g. a degraded NVLink) extends the step.
+  // wire time beyond the cap (e.g. a tp group spilling onto IB) extends the
+  // step.
   const double carved = std::min(tp_wire, kTpStallCarveCap * steady);
   const double body = steady * 0.92 - carved;
 

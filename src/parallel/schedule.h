@@ -76,8 +76,6 @@ class PretrainExecutionModel {
                                   comm::FabricConfig fabric = comm::kalos_fabric());
 
   const TransformerConfig& config() const { return cfg_; }
-  // Mutable so callers can inject degraded links (straggler experiments).
-  comm::CollectiveModel& collectives() { return comm_; }
   const comm::CollectiveModel& collectives() const { return comm_; }
 
   // InternEvo V1: 3D parallelism with 1F1B.

@@ -34,7 +34,7 @@ ReplicaCostModel::ReplicaCostModel(parallel::TransformerConfig cfg,
   // layer on the token path). The collective cost is affine in payload bytes,
   // so two evaluations recover the latency floor and the per-byte slope; the
   // hot path then prices any batch without touching the fabric again.
-  const comm::World tp{hw_.gpus, 0, 0, 1};
+  const comm::World tp{hw_.gpus, 0, 1};
   const double bytes1 = 2.0 * static_cast<double>(cfg_.hidden);      // 1 token
   const double bytes2 = 2.0 * bytes1;                                // 2 tokens
   const double c1 = fabric.all_reduce(tp, bytes1).seconds();

@@ -55,8 +55,8 @@ FleetSampler::FleetSampler(FleetSamplerConfig config)
   const double raw_line = common::gbps_to_Bps(config_.spec.node.nic_gbps) *
                           config_.spec.node.compute_nics;
   // Counters can never read above what collectives actually sustain.
-  const double peak_frac = exec.collectives().topology().node_nic_bytes_per_sec(0) /
-                           raw_line;
+  const double peak_frac =
+      exec.collectives().topology().node_nic_bytes_per_sec() / raw_line;
   IbProfile pretrain;
   pretrain.duty = kGradSyncSpanFraction;
   pretrain.level =

@@ -265,7 +265,7 @@ World::RestartStall World::restart_stall(int gpus, double params,
       stall.seconds += 2 * fabric_->probe_round_seconds(localize_nodes);
       ++report_.localizations;
     }
-    stall.seconds += fabric_->bringup_seconds(comm::World{gpus, 0, 0, 1});
+    stall.seconds += fabric_->bringup_seconds(comm::World{gpus, 0, 1});
   } else {
     stall.seconds += manual_ttr;
     ++report_.manual_recoveries;

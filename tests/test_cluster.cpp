@@ -397,21 +397,6 @@ TEST(DomainTree, SpannedCountsMatchBruteForce) {
               static_cast<int>(pods.size()));
     EXPECT_EQ(tree.datacenters_spanned(static_cast<NodeId>(first), count),
               static_cast<int>(dcs.size()));
-    // Arbitrary node set (non-contiguous multi-pod placement).
-    std::vector<NodeId> nodes;
-    const int size = static_cast<int>(rng.uniform_int(1, 24));
-    for (int i = 0; i < size; ++i)
-      nodes.push_back(static_cast<NodeId>(rng.uniform_int(0, 95)));
-    pods.clear();
-    dcs.clear();
-    for (NodeId n : nodes) {
-      pods.insert(tree.pod_of(n));
-      dcs.insert(tree.datacenter_of(n));
-    }
-    EXPECT_EQ(tree.pods_spanned(nodes.data(), nodes.size()),
-              static_cast<int>(pods.size()));
-    EXPECT_EQ(tree.datacenters_spanned(nodes.data(), nodes.size()),
-              static_cast<int>(dcs.size()));
   }
 }
 

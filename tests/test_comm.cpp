@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "cluster/spec.h"
 #include "comm/collective.h"
 #include "comm/topology.h"
 #include "common/check.h"
@@ -12,6 +13,26 @@ constexpr double kGiB = 1024.0 * kMiB;
 
 CollectiveModel kalos_model() { return CollectiveModel(kalos_fabric()); }
 
+// 16 Kalos nodes laid out as 2 datacenters x 4 pods: 2-node pods, so a
+// 3-node world already crosses the spine and a 12-node one the long haul.
+cluster::ClusterSpec tiered_spec() {
+  cluster::ClusterSpec spec = cluster::kalos_spec();
+  spec.node_count = 16;
+  spec.topology = cluster::DomainShape{2, 4, 0};
+  return spec;
+}
+// The same 16 nodes as one flat room.
+cluster::ClusterSpec flat_spec() {
+  cluster::ClusterSpec spec = tiered_spec();
+  spec.topology = cluster::DomainShape{};
+  return spec;
+}
+// Link rates the tier formulas are checked against, from Table 1 and the
+// DESIGN §7 calibration: the 600 GB/s NVLink at 0.4 bus efficiency, and
+// Kalos' 4 x 200 Gb/s HDR NICs at 0.8 efficiency with no storage share.
+constexpr double kNvlinkBus = 600e9 * 0.4;
+constexpr double kKalosNic = 4 * 25e9 * 0.8;
+
 // --- Fabric topology ---
 
 TEST(FabricTopology, DerivedFromClusterSpecs) {
@@ -23,9 +44,9 @@ TEST(FabricTopology, DerivedFromClusterSpecs) {
   EXPECT_EQ(seren.compute_nics, 1);
   EXPECT_EQ(kalos.compute_nics, 4);
   FabricTopology st(seren), kt(kalos);
-  EXPECT_GT(kt.node_nic_bytes_per_sec(0), 4.0 * st.node_nic_bytes_per_sec(0));
+  EXPECT_GT(kt.node_nic_bytes_per_sec(), 4.0 * st.node_nic_bytes_per_sec());
   // NVLink islands are identical across the two clusters.
-  EXPECT_DOUBLE_EQ(st.nvlink_bytes_per_sec(0), kt.nvlink_bytes_per_sec(0));
+  EXPECT_DOUBLE_EQ(st.nvlink_bytes_per_sec(), kt.nvlink_bytes_per_sec());
 }
 
 TEST(FabricTopology, NodesForPlacement) {
@@ -34,22 +55,6 @@ TEST(FabricTopology, NodesForPlacement) {
   EXPECT_EQ(topo.nodes_for(64, 0), 8);
   EXPECT_EQ(topo.nodes_for(64, 1), 64);  // one rank per node (dp rings)
   EXPECT_EQ(topo.nodes_for(9, 0), 2);    // ceiling
-}
-
-TEST(FabricTopology, LinkScaleHooks) {
-  FabricTopology topo(kalos_fabric());
-  const double healthy = topo.node_nic_bytes_per_sec(3);
-  topo.set_link_scale(3, 0.5);
-  EXPECT_DOUBLE_EQ(topo.node_nic_bytes_per_sec(3), healthy * 0.5);
-  EXPECT_DOUBLE_EQ(topo.min_link_scale(0, 8), 0.5);
-  EXPECT_DOUBLE_EQ(topo.min_link_scale(4, 8), 1.0);  // span excludes node 3
-  topo.set_link_scale(3, 1.0);  // back to healthy
-  EXPECT_DOUBLE_EQ(topo.node_nic_bytes_per_sec(3), healthy);
-  topo.set_link_scale(1, 0.25);
-  topo.clear_link_scales();
-  EXPECT_DOUBLE_EQ(topo.min_link_scale(0, 64), 1.0);
-  EXPECT_THROW(topo.set_link_scale(0, 0.0), common::CheckError);
-  EXPECT_THROW(topo.set_link_scale(0, -1.0), common::CheckError);
 }
 
 // --- Collective cost models ---
@@ -128,22 +133,6 @@ TEST(Collective, TreeWinsTinyMessagesRingWinsLarge) {
             model.all_reduce(w, kGiB, Algorithm::kRing).seconds());
 }
 
-TEST(Collective, DegradedLinkSlowsOnlyTraversingCollectives) {
-  auto model = kalos_model();
-  World through, elsewhere;
-  through.gpus = 32;  // nodes 0-3
-  elsewhere.gpus = 32;
-  elsewhere.first_node = 4;  // nodes 4-7
-  const double bytes = 1 * kGiB;
-  const double through_before = model.all_reduce(through, bytes).seconds();
-  const double elsewhere_before = model.all_reduce(elsewhere, bytes).seconds();
-  model.topology().set_link_scale(2, 0.25);
-  EXPECT_GT(model.all_reduce(through, bytes).seconds(), 2.0 * through_before);
-  EXPECT_DOUBLE_EQ(model.all_reduce(elsewhere, bytes).seconds(), elsewhere_before);
-  model.topology().clear_link_scales();
-  EXPECT_DOUBLE_EQ(model.all_reduce(through, bytes).seconds(), through_before);
-}
-
 TEST(Collective, NicShareDividesBandwidth) {
   const auto model = kalos_model();
   World lone, shared;
@@ -191,7 +180,7 @@ TEST(Collective, BusBandwidthApproachesLinkRate) {
   const double bytes = 4 * kGiB;
   const auto ar = model.all_reduce(island, bytes);
   const double busbw = bus_bandwidth_allreduce(island.gpus, bytes, ar.seconds());
-  const double link = model.topology().nvlink_bytes_per_sec(0);
+  const double link = model.topology().nvlink_bytes_per_sec();
   // Large messages amortize latency: bus bandwidth within 5% of the link
   // rate but never above it.
   EXPECT_LT(busbw, link);
@@ -200,6 +189,106 @@ TEST(Collective, BusBandwidthApproachesLinkRate) {
   const double ag_busbw = bus_bandwidth_allgather(island.gpus, bytes, ag.seconds());
   EXPECT_LT(ag_busbw, link);
   EXPECT_GT(ag_busbw, 0.95 * link);
+}
+
+// --- Tier crossings (DESIGN §14) ---
+
+TEST(Tiers, FabricDerivesSpineAndLongHaulFromNicAggregate) {
+  const FabricConfig f = fabric_from_cluster(tiered_spec());
+  const FabricTopology topo(f);
+  EXPECT_DOUBLE_EQ(topo.nvlink_bytes_per_sec(), kNvlinkBus);
+  EXPECT_DOUBLE_EQ(topo.node_nic_bytes_per_sec(), kKalosNic);
+  EXPECT_DOUBLE_EQ(f.spine.bytes_per_sec, kKalosNic / 4.0);      // 4:1 spine
+  EXPECT_DOUBLE_EQ(f.longhaul.bytes_per_sec, kKalosNic / 16.0);  // 16:1 WAN
+  EXPECT_DOUBLE_EQ(f.spine.alpha_seconds, 35e-6);
+  EXPECT_DOUBLE_EQ(f.longhaul.alpha_seconds, 5e-3);
+  // A flat room configures no tier links at all.
+  const FabricConfig flat = fabric_from_cluster(flat_spec());
+  EXPECT_EQ(flat.spine.bytes_per_sec, 0.0);
+  EXPECT_EQ(flat.longhaul.bytes_per_sec, 0.0);
+}
+
+TEST(Tiers, PodCrossingAllReducePaysTheSpineStage) {
+  const CollectiveModel model(fabric_from_cluster(tiered_spec()));
+  World w;
+  w.gpus = 64;  // nodes 0-7: four 2-node pods inside datacenter 0
+  const double bytes = 1 * kGiB;
+  const auto c = model.all_reduce(w, bytes, Algorithm::kHierarchical);
+  // g = 8 ranks per node, n_pod = 2 nodes per pod, p_dc = 4 pods, d = 1:
+  // hops = 2(g-1) + 2(n_pod-1) + 2(p_dc-1) + 2(d-1) = 14 + 2 + 6 + 0.
+  EXPECT_EQ(c.hops, 22);
+  EXPECT_NEAR(c.latency_seconds, 14 * 5e-6 + 2 * 20e-6 + 6 * 35e-6, 1e-15);
+  const double expect_bw = 2.0 * 7 / 8 * bytes / kNvlinkBus +
+                           2.0 * 1 / 2 * bytes / kKalosNic +
+                           2.0 * 3 / 4 * bytes / (kKalosNic / 4.0);
+  EXPECT_NEAR(c.bandwidth_seconds, expect_bw, 1e-12 * expect_bw);
+}
+
+TEST(Tiers, CrossDcAllGatherPaysTheLongHaulStage) {
+  const CollectiveModel model(fabric_from_cluster(tiered_spec()));
+  World w;
+  w.gpus = 96;  // nodes 0-11: six pods over both datacenters
+  const double bytes = 1 * kGiB;
+  const auto c = model.all_gather(w, bytes, Algorithm::kHierarchical);
+  // g = 8, n_pod = 2, p_dc = 3, d = 2: (g-1) + (n_pod-1) + (p_dc-1) + (d-1).
+  EXPECT_EQ(c.hops, 11);
+  EXPECT_NEAR(c.latency_seconds, 7 * 5e-6 + 20e-6 + 2 * 35e-6 + 5e-3, 1e-15);
+  const double s = bytes / 96;
+  const double expect_bw = 7 * s / kNvlinkBus + 1 * 8 * s / kKalosNic +
+                           2 * 2 * 8 * s / (kKalosNic / 4.0) +
+                           1 * 3 * 2 * 8 * s / (kKalosNic / 16.0);
+  EXPECT_NEAR(c.bandwidth_seconds, expect_bw, 1e-12 * expect_bw);
+}
+
+TEST(Tiers, ProbeRoundPricesThePodCrossingAllGather) {
+  const CollectiveModel tiered(fabric_from_cluster(tiered_spec()));
+  const CollectiveModel flat(fabric_from_cluster(flat_spec()));
+  // A 3-node probe world spans pods 0 and 1: its hierarchical all-gather
+  // of 128 MiB adds one spine stage over two pod slabs (n_pod = 2, p_dc = 2).
+  const double bytes = 128 * kMiB;
+  const double s = bytes / 24;
+  const double gather = 7 * 5e-6 + 20e-6 + 35e-6 + 7 * s / kNvlinkBus +
+                        8 * s / kKalosNic + 2 * 8 * s / (kKalosNic / 4.0);
+  const double bringup = 30.0 + 60.0 / 256.0 * 3;
+  EXPECT_NEAR(tiered.probe_round_seconds(3), bringup + gather, 1e-12);
+  const double flat_gather =
+      7 * 5e-6 + 2 * 20e-6 + 7 * s / kNvlinkBus + 2 * 8 * s / kKalosNic;
+  EXPECT_NEAR(flat.probe_round_seconds(3), bringup + flat_gather, 1e-12);
+  EXPECT_GT(tiered.probe_round_seconds(3), flat.probe_round_seconds(3));
+}
+
+TEST(Tiers, CrossDcBringupCostsTwentySeconds) {
+  const CollectiveModel tiered(fabric_from_cluster(tiered_spec()));
+  const CollectiveModel flat(fabric_from_cluster(flat_spec()));
+  const World twelve_nodes{96, 0, 1};
+  EXPECT_EQ(tiered.bringup_seconds(twelve_nodes),
+            flat.bringup_seconds(twelve_nodes) + 20.0);
+  // Eight nodes stay inside datacenter 0: no long-haul rendezvous.
+  const World eight_nodes{64, 0, 1};
+  EXPECT_EQ(tiered.bringup_seconds(eight_nodes),
+            flat.bringup_seconds(eight_nodes));
+}
+
+TEST(Tiers, WorldInsideOnePodPricesLikeTheFlatFabric) {
+  const CollectiveModel tiered(fabric_from_cluster(tiered_spec()));
+  const CollectiveModel flat(fabric_from_cluster(flat_spec()));
+  World w;
+  w.gpus = 16;  // nodes 0-1: exactly pod 0
+  for (auto alg : {Algorithm::kRing, Algorithm::kTree, Algorithm::kHierarchical}) {
+    for (double bytes : {8 * 1024.0, 1 * kGiB}) {
+      const auto a = tiered.all_reduce(w, bytes, alg);
+      const auto b = flat.all_reduce(w, bytes, alg);
+      EXPECT_EQ(a.hops, b.hops);
+      EXPECT_EQ(a.latency_seconds, b.latency_seconds);
+      EXPECT_EQ(a.bandwidth_seconds, b.bandwidth_seconds);
+      const auto ga = tiered.all_gather(w, bytes, alg);
+      const auto gb = flat.all_gather(w, bytes, alg);
+      EXPECT_EQ(ga.hops, gb.hops);
+      EXPECT_EQ(ga.latency_seconds, gb.latency_seconds);
+      EXPECT_EQ(ga.bandwidth_seconds, gb.bandwidth_seconds);
+    }
+  }
+  EXPECT_EQ(tiered.bringup_seconds(w), flat.bringup_seconds(w));
 }
 
 // --- Bring-up & probe rounds ---

@@ -18,7 +18,6 @@ namespace {
 
 struct Snapshot {
   std::string prom;
-  std::string json;
   std::uint64_t digest;
 };
 
@@ -40,7 +39,6 @@ Snapshot replay_snapshot(std::size_t threads) {
   EXPECT_EQ(run.results.size(), 4u);
   Snapshot snap;
   snap.prom = obs::metrics().prometheus_text();
-  snap.json = obs::metrics().json_snapshot();
   snap.digest = common::fnv1a(snap.prom);
   obs::set_enabled(false);
   obs::reset();
@@ -54,7 +52,6 @@ TEST(Determinism, RepeatedReplaySnapshotsAreByteIdentical) {
                                 << common::fnv1a_hex(a.digest) << " vs "
                                 << common::fnv1a_hex(b.digest);
   EXPECT_EQ(a.prom, b.prom);
-  EXPECT_EQ(a.json, b.json);
   EXPECT_FALSE(a.prom.empty());
 }
 
@@ -63,7 +60,6 @@ TEST(Determinism, SnapshotIsIndependentOfMcThreadCount) {
   const Snapshot pooled = replay_snapshot(4);
   EXPECT_EQ(serial.prom, pooled.prom)
       << "registry bytes depend on worker-pool width";
-  EXPECT_EQ(serial.json, pooled.json);
   EXPECT_EQ(serial.digest, pooled.digest);
 }
 
@@ -86,7 +82,6 @@ Snapshot world_snapshot(std::size_t threads) {
   for (const auto& report : run.results) EXPECT_GT(report.failures_injected, 0);
   Snapshot snap;
   snap.prom = obs::metrics().prometheus_text();
-  snap.json = obs::metrics().json_snapshot();
   snap.digest = common::fnv1a(snap.prom);
   obs::set_enabled(false);
   obs::reset();
@@ -98,10 +93,8 @@ TEST(Determinism, WorldRunsAreByteIdenticalAcrossRepeatsAndThreads) {
   const Snapshot b = world_snapshot(1);
   const Snapshot pooled = world_snapshot(4);
   EXPECT_EQ(a.prom, b.prom);
-  EXPECT_EQ(a.json, b.json);
   EXPECT_EQ(a.prom, pooled.prom)
       << "world registry bytes depend on worker-pool width";
-  EXPECT_EQ(a.json, pooled.json);
   EXPECT_EQ(a.digest, pooled.digest);
   // The failure chain actually exercised the injection counters.
   EXPECT_NE(a.prom.find("acme_world_failures_total"), std::string::npos);
@@ -140,7 +133,6 @@ ServeSnapshot serve_snapshot(std::size_t threads, std::uint64_t seed) {
     snap.fleet_digest ^= report.serve.digest();
   }
   snap.obs.prom = obs::metrics().prometheus_text();
-  snap.obs.json = obs::metrics().json_snapshot();
   snap.obs.digest = common::fnv1a(snap.obs.prom);
   obs::set_enabled(false);
   obs::reset();
@@ -153,7 +145,6 @@ TEST(Determinism, ServeWorldIsByteIdenticalAcrossRepeatsAndThreads) {
   const ServeSnapshot pooled = serve_snapshot(4, 20242);
   const ServeSnapshot reseeded = serve_snapshot(1, 20243);
   EXPECT_EQ(a.obs.prom, b.obs.prom);
-  EXPECT_EQ(a.obs.json, b.obs.json);
   EXPECT_EQ(a.fleet_digest, b.fleet_digest);
   EXPECT_EQ(a.obs.prom, pooled.obs.prom)
       << "serve registry bytes depend on worker-pool width";
