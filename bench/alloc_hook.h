@@ -1,6 +1,6 @@
 // Allocation-counting hook shared by the benches that gate on a
 // zero-allocation drain (bench_micro_engines, bench_serve_spine,
-// bench_hyperscale).
+// bench_hyperscale, bench_snapshot).
 //
 // alloc_hook.cpp replaces the global operator new/delete for every binary
 // that links it: each operator new bumps one process-wide atomic counter, so

@@ -17,8 +17,9 @@
 //     allocation inside the drain — scheduler, failure chains, domain
 //     cordons and kills included — exits 1.
 //   * memory O(live entities): peak RSS per entity (jobs + GPUs) must stay
-//     under a generous 64 KiB bound; an accidental O(n^2) structure at 50k
-//     GPUs fails loudly instead of quietly swapping.
+//     under 1 KiB (measured: a few hundred bytes); a per-job structure that
+//     grows several-fold, or an accidental O(n^2) one at 50k GPUs, fails
+//     loudly instead of quietly swapping.
 //
 // Flags: --full (scale=1: the full six-month trace, 10M+ jobs at 50k GPUs;
 //         minutes of wall clock and GBs of RSS — not the CI default)
@@ -50,6 +51,9 @@ std::uint64_t peak_rss_bytes() {
   }
   return 0;
 }
+
+// Peak-RSS budget per entity (jobs + GPUs) for the memory gate.
+constexpr std::uint64_t kMaxRssPerEntity = 1024;
 
 struct SweepPoint {
   const char* label;
@@ -188,9 +192,9 @@ int main(int argc, char** argv) {
                    static_cast<unsigned long long>(row.drain_allocs));
       ok = false;
     }
-    if (row.rss_per_entity > 64 * 1024) {
+    if (row.rss_per_entity > kMaxRssPerEntity) {
       std::fprintf(stderr,
-                   "FAIL: %s peak RSS %llu B/entity exceeds the 64 KiB "
+                   "FAIL: %s peak RSS %llu B/entity exceeds the 1 KiB "
                    "O(live entities) bound\n",
                    row.name.c_str(),
                    static_cast<unsigned long long>(row.rss_per_entity));

@@ -14,11 +14,14 @@
 // (allocator pages and CRC tables are process-lifetime state; see the
 // BENCH_6.json note on cold first runs).
 //
-// Gate: median save+restore < 7% of the median end-to-end workload wall
-// time (exit 1 past the gate). The budget was 5% when fleet telemetry cost
-// ~1/3 of a seren replica; the ziggurat monitor noise cut the yardstick by
-// ~28%, and 7% of the new yardstick is the same absolute save+restore
-// budget.
+// Gates (exit 1 past either):
+//   * median save+restore < 7% of the median end-to-end workload wall time.
+//     The budget was 5% when fleet telemetry cost ~1/3 of a seren replica;
+//     the ziggurat monitor noise cut the yardstick by ~28%, and 7% of the
+//     new yardstick is the same absolute save+restore budget.
+//   * allocation freedom: the shared operator-new hook (alloc_hook.h)
+//     brackets one restored world's drain, with occupancy sampling off;
+//     any heap allocation inside it fails the bench.
 //
 // Flags: --scenario NAME --scale S --reps N --replicas R --json out.json
 #include <algorithm>
@@ -28,6 +31,7 @@
 #include <limits>
 #include <vector>
 
+#include "alloc_hook.h"
 #include "bench_util.h"
 #include "mc/replication.h"
 #include "snap/format.h"
@@ -153,6 +157,24 @@ int main(int argc, char** argv) {
     }
   }
 
+  // Allocation gate: a restored drain must be as allocation-free as a fresh
+  // one (restore re-reserves the engine, the record pool, the wide-gang
+  // slice buffers and the kill-routing scratch). The occupancy timeline
+  // grows with the makespan, so sampling is off for the bracket, as in
+  // bench_hyperscale; sampling reads state and never changes the replay.
+  std::uint64_t restored_drain_allocs = 0;
+  {
+    world::ScenarioSpec gated = spec;
+    gated.sample_interval_seconds = 0;
+    gated.fleet_samples = 0;
+    std::size_t bytes = 0;
+    world::World resumed(gated);
+    snapshot_roundtrip(gated, mid, &bytes, resumed);
+    const std::uint64_t allocs_before = bench::heap_allocs();
+    resumed.run_until(kForever);
+    restored_drain_allocs = bench::heap_allocs() - allocs_before;
+  }
+
   const double endtoend_s = median(endtoend_walls);
   const double roundtrip_s = median(roundtrip_walls);
   const double ratio = endtoend_s > 0 ? roundtrip_s / endtoend_s : 0;
@@ -183,12 +205,20 @@ int main(int argc, char** argv) {
     std::printf("[json] results written to %s\n", json_path.c_str());
   }
 
+  bool ok = true;
+  if (restored_drain_allocs != 0) {
+    std::fprintf(stderr,
+                 "FAIL: the restored world's drain made %llu heap "
+                 "allocations (expected 0)\n",
+                 static_cast<unsigned long long>(restored_drain_allocs));
+    ok = false;
+  }
   if (ratio >= kMaxOverheadRatio) {
     std::fprintf(stderr,
                  "bench_snapshot: save+restore is %.1f%% of the end-to-end "
                  "workload (gate: < %.0f%%)\n",
                  ratio * 100, kMaxOverheadRatio * 100);
-    return 1;
+    ok = false;
   }
-  return 0;
+  return ok ? 0 : 1;
 }

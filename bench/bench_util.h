@@ -95,15 +95,24 @@ inline void recap(const std::string& what, const std::string& paper,
   }
 }
 
+// Replica CPU below which a speedup figure measures thread start-up rather
+// than the replicas, so the footer prints "n/a" instead.
+inline constexpr double kMinSpeedupSerialSeconds = 0.1;
+
 // Prints the replication run footer every converted bench shares and, when
 // the CLI asked for it, writes the JSON report.
 inline void mc_footer(const mc::BenchReport& report, const mc::McCli& cli) {
   const auto& t = report.timing();
+  char speedup[32];
+  if (t.serial_seconds < kMinSpeedupSerialSeconds)
+    std::snprintf(speedup, sizeof speedup, "n/a");
+  else
+    std::snprintf(speedup, sizeof speedup, "%.2fx", t.speedup());
   std::printf(
       "\n[mc] %zu replicas on %zu threads: wall %.2f s, "
-      "serial-equivalent %.2f s, speedup %.2fx\n",
+      "serial-equivalent %.2f s, speedup %s\n",
       cli.options.replicas, t.threads_used, t.wall_seconds, t.serial_seconds,
-      t.speedup());
+      speedup);
   if (!cli.json_path.empty() && report.write(cli.json_path))
     std::printf("[mc] report written to %s\n", cli.json_path.c_str());
 }

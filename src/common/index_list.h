@@ -1,10 +1,10 @@
 // Intrusive index-linked lists over a shared link arena.
 //
-// The scheduler keeps jobs (dense indices into the active trace) in FIFO
+// The scheduler keeps its live job records (dense record ids) in FIFO
 // queues and running pools. std::deque/vector give O(queued) mid-erase and
 // O(running) erase(remove(...)) per completion — ~1.09 M times per six-month
 // replay. An IndexList is a doubly-linked list whose prev/next pointers live
-// in one shared IndexLinks arena indexed by job id, so membership moves are
+// in one shared IndexLinks arena indexed by element id, so membership moves are
 // O(1) unlinks with zero allocation, while iteration order stays exactly
 // insertion order (FCFS heads and youngest-victim selection depend on it, and
 // test_determinism pins the resulting digests).
@@ -35,6 +35,19 @@ struct IndexLinks {
   void assign(std::size_t n) {
     prev.assign(n, kIndexNpos);
     next.assign(n, kIndexNpos);
+  }
+  // Room for `n` ids without touching it; add() then grows one id at a time,
+  // so an arena sized for the worst case costs memory only up to the ids
+  // actually handed out.
+  void reserve(std::size_t n) {
+    prev.reserve(n);
+    next.reserve(n);
+  }
+  // Appends one unlinked id and returns it.
+  std::uint32_t add() {
+    prev.push_back(kIndexNpos);
+    next.push_back(kIndexNpos);
+    return static_cast<std::uint32_t>(prev.size() - 1);
   }
   std::size_t size() const { return prev.size(); }
 };

@@ -1,6 +1,7 @@
 #include "sched/scheduler.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <limits>
 #include <type_traits>
@@ -137,9 +138,6 @@ void SchedulerReplay::begin_replay(trace::Trace&& input,
 
 void SchedulerReplay::arm_replay(double sample_interval) {
   ACME_OBS_SPAN_ARG("sched", "begin_replay", "jobs", std::to_string(jobs_.size()));
-  rt_.assign(jobs_.size(), JobRt{});
-  queue_links_.assign(jobs_.size());
-  pool_links_.assign(jobs_.size());
   for (auto& queue : queues_) queue = common::IndexList{};
   for (auto& pool : running_pools_) pool = common::IndexList{};
   result_storage_ = ReplayResult{};
@@ -147,34 +145,17 @@ void SchedulerReplay::arm_replay(double sample_interval) {
   replay_start_ = engine_->now();
   pending_submissions_ = 0;
   capacity_freed_ = true;
-  // Every submission is posted up front, and each *running* job keeps one
-  // completion event live. A running GPU job holds at least one GPU, so the
-  // pending-event peak is bounded by jobs + total GPUs (+ the sampler).
-  // Reserving the full bound keeps the 64-byte callback slots from ever
-  // being move-relocated by vector doubling mid-replay.
-  engine_->reserve(jobs_.size() +
-                   static_cast<std::size_t>(std::max(
-                       0, reserved_.total_gpus() + shared_.total_gpus())) +
-                   4);
-  // running_pretrain_jobs() / running_jobs_on_nodes() fill scratch via
-  // copy_to; pre-growing it here keeps mid-drain kill routing (the world's
-  // failure and domain chains) allocation-free.
-  pretrain_scratch_.reserve(jobs_.size());
+  reset_runtime_state();
 
-  const int per_node = std::max(1, spec_.node.gpus);
+  const int total_gpus = reserved_.total_gpus() + shared_.total_gpus();
   for (std::size_t i = 0; i < jobs_.size(); ++i) {
     const auto& job = jobs_[i];
     if (!job.is_gpu_job()) continue;  // CPU jobs bypass the GPU scheduler
-    ACME_CHECK_MSG(job.gpus <= reserved_.total_gpus() + shared_.total_gpus(),
+    ACME_CHECK_MSG(job.gpus <= total_gpus,
                    "job demands more GPUs than the cluster has");
-    // Gangs wider than the slice buffer's inline capacity would spill on
-    // first start; paying the spill here keeps the event loop allocation-free.
-    if (job.gpus > 2 * per_node)
-      rt_[i].alloc.slices.reserve(
-          static_cast<std::size_t>((job.gpus + per_node - 1) / per_node));
     ++pending_submissions_;
-    rt_[i].submit = engine_->schedule_at(replay_start_ + job.submit_time,
-                                         [this, i] { on_submit(i); });
+    engine_->post(replay_start_ + job.submit_time,
+                  static_cast<std::uint32_t>(i));
   }
 
   sample_interval_ = sample_interval;
@@ -186,6 +167,103 @@ void SchedulerReplay::arm_replay(double sample_interval) {
   }
 }
 
+std::size_t SchedulerReplay::spill_class(int gpus) const {
+  const int per_node = std::max(1, spec_.node.gpus);
+  const auto nodes = static_cast<std::uint32_t>((gpus + per_node - 1) / per_node);
+  return nodes <= 2 ? 0 : static_cast<std::size_t>(std::bit_width(nodes - 1));
+}
+
+void SchedulerReplay::reset_runtime_state() {
+  // Slot events: each running job keeps one completion live and holds at
+  // least one GPU, so completions never outnumber the GPUs; +4 covers the
+  // sampler and the world's failure chains. Lane events: one submission per
+  // job. Reserving both keeps the drain from reallocating engine storage.
+  const auto total_gpus = static_cast<std::size_t>(
+      std::max(0, reserved_.total_gpus() + shared_.total_gpus()));
+  engine_->reserve(total_gpus + 4, jobs_.size());
+  engine_->set_post_handler([this](std::uint32_t i) { on_submit(i); });
+  // running_pretrain_jobs() fills scratch with one entry per running job; a
+  // GPU bound keeps the world's mid-drain kill routing allocation-free.
+  pretrain_scratch_.clear();
+  pretrain_scratch_.reserve(total_gpus);
+
+  // The pool and its arenas are reserved for every job at once, which costs
+  // address space only: pages are touched up to the live high-water, and
+  // the drain never reallocates (a record is never moved).
+  rec_of_.assign(jobs_.size(), kNoRecord);
+  recs_.clear();
+  recs_.reserve(jobs_.size());
+  queue_links_ = common::IndexLinks{};
+  pool_links_ = common::IndexLinks{};
+  queue_links_.reserve(jobs_.size());
+  pool_links_.reserve(jobs_.size());
+  for (auto& free : free_recs_) free.clear();
+  free_recs_[0].reserve(jobs_.size());
+  // Gangs wider than the slice buffer's inline capacity would spill on first
+  // start; paying the spill here keeps the event loop allocation-free. One
+  // record per wide gang bounds any mix of queued and running wide jobs.
+  std::array<std::size_t, kSpillClasses> wide{};
+  for (const auto& job : jobs_)
+    if (job.is_gpu_job()) ++wide[spill_class(job.gpus)];
+  for (std::size_t k = 1; k < kSpillClasses; ++k) {
+    free_recs_[k].reserve(wide[k]);
+    for (std::size_t n = 0; n < wide[k]; ++n) {
+      const std::uint32_t id = new_record();
+      recs_[id].alloc.slices.reserve(std::size_t{1} << k);
+      free_recs_[k].push_back(id);
+    }
+  }
+}
+
+std::uint32_t SchedulerReplay::new_record() {
+  // A record per GPU job at most: the reservation is never outgrown, so no
+  // record (or its slice buffer) ever moves.
+  ACME_CHECK_MSG(recs_.size() < recs_.capacity(), "record pool outgrew its reservation");
+  recs_.emplace_back();
+  queue_links_.add();
+  return pool_links_.add();
+}
+
+std::uint32_t SchedulerReplay::take_record(std::uint32_t index) {
+  const trace::JobRecord& job = jobs_[index];
+  auto& free = free_recs_[spill_class(job.gpus)];
+  std::uint32_t id;
+  if (!free.empty()) {
+    id = free.back();
+    free.pop_back();
+  } else {
+    // Wide classes were filled for every gang at arm, so only class 0 grows.
+    ACME_CHECK_MSG(&free == &free_recs_[0], "wide-gang record pool exhausted");
+    id = new_record();
+  }
+  JobRec& rec = recs_[id];
+  // Reset every field but the slice buffer, whose capacity is the point of
+  // the free-list class.
+  cluster::Allocation buffer = std::move(rec.alloc);
+  rec = JobRec{};
+  rec.alloc = std::move(buffer);
+  rec.job = index;
+  rec.gpus = job.gpus;
+  rec.cls = classify(job.type);
+  rec_of_[index] = id;
+  return id;
+}
+
+std::uint32_t SchedulerReplay::live_record(std::size_t index) const {
+  ACME_CHECK_MSG(index < rec_of_.size() && rec_of_[index] != kNoRecord,
+                 "job is neither queued nor running");
+  return rec_of_[index];
+}
+
+const std::vector<std::size_t>& SchedulerReplay::running_pretrain_jobs() const {
+  pretrain_scratch_.clear();
+  const common::IndexList& pool = running_pools_[kPoolPretrain];
+  for (std::uint32_t r = pool.front(); r != common::kIndexNpos;
+       r = common::IndexList::next_of(pool_links_, r))
+    pretrain_scratch_.push_back(recs_[r].job);
+  return pretrain_scratch_;
+}
+
 ReplayResult SchedulerReplay::finish_replay() {
   ACME_CHECK_MSG(result_ != nullptr, "finish_replay without begin_replay");
   ReplayResult result = std::move(result_storage_);
@@ -195,7 +273,7 @@ ReplayResult SchedulerReplay::finish_replay() {
   result.unstarted = queues_[0].size() + queues_[1].size() + queues_[2].size();
   result.jobs = std::move(jobs_);
   jobs_.clear();
-  // Stale links are harmless: arm_replay reassigns both arenas.
+  // Stale records and links are harmless: arm_replay resets the pool.
   for (auto& queue : queues_) queue = common::IndexList{};
   return result;
 }
@@ -222,14 +300,15 @@ void SchedulerReplay::sample_occupancy(double interval) {
         interval, [this, interval] { sample_occupancy(interval); });
 }
 
-void SchedulerReplay::on_submit(std::size_t index) {
+void SchedulerReplay::on_submit(std::uint32_t index) {
   ACME_CHECK(pending_submissions_ > 0);
   --pending_submissions_;
-  rt_[index].submit = {};
-  rt_[index].waiting_since = engine_->now();
-  auto& queue = queues_[static_cast<int>(classify(jobs_[index].type))];
+  const std::uint32_t r = take_record(index);
+  JobRec& rec = recs_[r];
+  rec.waiting_since = engine_->now();
+  auto& queue = queues_[static_cast<int>(rec.cls)];
   const std::size_t ahead = queue.size();
-  queue.push_back(queue_links_, static_cast<std::uint32_t>(index));
+  queue.push_back(queue_links_, r);
   // Coalesced dispatch: when nothing freed capacity since the last full scan,
   // every already-queued job would fail try_start again (allocation failure
   // is monotone while capacity only shrinks, and the eval cap's in-use total
@@ -243,18 +322,17 @@ void SchedulerReplay::on_submit(std::size_t index) {
       queue_depth_histogram().observe(static_cast<double>(
           queues_[0].size() + queues_[1].size() + queues_[2].size()));
     }
-    if (ahead <= config_.backfill_depth && try_start(index))
-      queue.erase(queue_links_, static_cast<std::uint32_t>(index));
+    if (ahead <= config_.backfill_depth && try_start(r))
+      queue.erase(queue_links_, r);
     return;
   }
   try_dispatch();
 }
 
-bool SchedulerReplay::try_start(std::size_t index) {
-  auto& job = jobs_[index];
-  auto& rt = rt_[index];
-  const QueueClass cls = classify(job.type);
-  if (cls == QueueClass::kEvaluation && eval_gpus_in_use_ + job.gpus > eval_cap_ &&
+bool SchedulerReplay::try_start(std::uint32_t r) {
+  JobRec& rec = recs_[r];
+  const QueueClass cls = rec.cls;
+  if (cls == QueueClass::kEvaluation && eval_gpus_in_use_ + rec.gpus > eval_cap_ &&
       eval_gpus_in_use_ > 0)  // cap, with starvation escape
     return false;
 
@@ -262,86 +340,86 @@ bool SchedulerReplay::try_start(std::size_t index) {
     // Pretraining prefers its reservation, spilling to the shared partition
     // only when the reservation is exhausted; in preemptive mode it may
     // evict best-effort work instead. The in-place allocations refill
-    // rt.alloc's own slice buffer, so restarts never touch the heap.
-    if (reserved_.try_allocate_into(job.gpus, config_.cpus_per_gpu, rt.alloc)) {
-      rt.on_reserved = true;
-    } else if (shared_.try_allocate_into(job.gpus, config_.cpus_per_gpu,
-                                         rt.alloc)) {
-      rt.on_reserved = false;
-    } else if (config_.allow_preemption && preempt_for(job.gpus)) {
-      ACME_CHECK_MSG(shared_.try_allocate_into(job.gpus, config_.cpus_per_gpu,
-                                               rt.alloc),
+    // rec.alloc's own slice buffer, so restarts never touch the heap.
+    if (reserved_.try_allocate_into(rec.gpus, config_.cpus_per_gpu, rec.alloc)) {
+      rec.on_reserved = true;
+    } else if (shared_.try_allocate_into(rec.gpus, config_.cpus_per_gpu,
+                                         rec.alloc)) {
+      rec.on_reserved = false;
+    } else if (config_.allow_preemption && preempt_for(rec.gpus)) {
+      ACME_CHECK_MSG(shared_.try_allocate_into(rec.gpus, config_.cpus_per_gpu,
+                                               rec.alloc),
                      "preemption freed too little");
-      rt.on_reserved = false;
+      rec.on_reserved = false;
     } else {
       return false;
     }
   } else {
-    if (!shared_.try_allocate_into(job.gpus, config_.cpus_per_gpu, rt.alloc))
+    if (!shared_.try_allocate_into(rec.gpus, config_.cpus_per_gpu, rec.alloc))
       return false;
-    rt.on_reserved = false;
+    rec.on_reserved = false;
   }
 
-  if (cls == QueueClass::kEvaluation) eval_gpus_in_use_ += job.gpus;
-  if (!rt.delay_recorded) {  // keep the FIRST start for delay accounting
+  trace::JobRecord& job = jobs_[rec.job];
+  if (cls == QueueClass::kEvaluation) eval_gpus_in_use_ += rec.gpus;
+  if (!rec.delay_recorded) {  // keep the FIRST start for delay accounting
     job.queue_delay = engine_->now() - replay_start_ - job.submit_time;
-    rt.delay_recorded = true;
+    rec.delay_recorded = true;
   }
-  rt.started_at = engine_->now();
+  rec.started_at = engine_->now();
   if (obs::enabled()) placements_counter().inc();
   ++running_jobs_;
   running_pools_[cls == QueueClass::kPretrain ? kPoolPretrain : kPoolBestEffort]
-      .push_back(pool_links_, static_cast<std::uint32_t>(index));
+      .push_back(pool_links_, r);
   const double remaining =
-      std::max(0.0, job.duration - rt.progress_done) + rt.extra_overhead;
-  rt.extra_overhead = 0.0;  // the tax is paid once per restart
-  rt.completion =
-      engine_->schedule_after(remaining, [this, index] { on_complete(index); });
+      std::max(0.0, job.duration - rec.progress_done) + rec.extra_overhead;
+  rec.extra_overhead = 0.0;  // the tax is paid once per restart
+  rec.completion =
+      engine_->schedule_after(remaining, [this, r] { on_complete(r); });
   return true;
 }
 
-void SchedulerReplay::evict(std::size_t index, double rollback_cap,
+void SchedulerReplay::evict(std::uint32_t r, double rollback_cap,
                             double overhead_seconds, bool failure_kill) {
-  auto& job = jobs_[index];
-  auto& rt = rt_[index];
-  const QueueClass cls = classify(job.type);
-  engine_->cancel(rt.completion);
-  rt.completion = {};
-  (rt.on_reserved ? reserved_ : shared_).release(rt.alloc);
-  rt.alloc.clear();
-  rt.on_reserved = false;
+  JobRec& rec = recs_[r];
+  const QueueClass cls = rec.cls;
+  engine_->cancel(rec.completion);
+  rec.completion = {};
+  (rec.on_reserved ? reserved_ : shared_).release(rec.alloc);
+  rec.alloc.clear();
+  rec.on_reserved = false;
   capacity_freed_ = true;
   running_pools_[cls == QueueClass::kPretrain ? kPoolPretrain : kPoolBestEffort]
-      .erase(pool_links_, static_cast<std::uint32_t>(index));
+      .erase(pool_links_, r);
   if (cls == QueueClass::kEvaluation) {
-    eval_gpus_in_use_ -= job.gpus;
+    eval_gpus_in_use_ -= rec.gpus;
     ACME_CHECK(eval_gpus_in_use_ >= 0);
   }
   --running_jobs_;
-  const double elapsed = engine_->now() - rt.started_at;
+  const double elapsed = engine_->now() - rec.started_at;
   const double lost = std::min(elapsed, rollback_cap);
-  rt.progress_done += elapsed - lost;
+  rec.progress_done += elapsed - lost;
   if (result_ != nullptr) {
     if (failure_kill) {
       ++result_->failure_kills;
-      result_->failure_lost_gpu_seconds += static_cast<double>(job.gpus) * lost;
+      result_->failure_lost_gpu_seconds += static_cast<double>(rec.gpus) * lost;
       result_->failure_restart_seconds += overhead_seconds;
     } else {
       ++result_->preemptions;
-      result_->wasted_gpu_seconds += static_cast<double>(job.gpus) * lost;
+      result_->wasted_gpu_seconds += static_cast<double>(rec.gpus) * lost;
     }
   }
-  rt.extra_overhead += overhead_seconds;
-  rt.waiting_since = engine_->now();
-  queues_[static_cast<int>(cls)].push_back(queue_links_,
-                                           static_cast<std::uint32_t>(index));
+  rec.extra_overhead += overhead_seconds;
+  rec.waiting_since = engine_->now();
+  queues_[static_cast<int>(cls)].push_back(queue_links_, r);
   if (obs::enabled()) (failure_kill ? kills_counter() : preemptions_counter()).inc();
 }
 
 void SchedulerReplay::kill_job(std::size_t index, double rollback_cap_seconds,
                                double restart_overhead_seconds) {
-  ACME_CHECK_MSG(!rt_[index].alloc.empty(), "kill_job on a job not running");
-  evict(index, rollback_cap_seconds, restart_overhead_seconds,
+  const std::uint32_t r = live_record(index);
+  ACME_CHECK_MSG(!recs_[r].alloc.empty(), "kill_job on a job not running");
+  evict(r, rollback_cap_seconds, restart_overhead_seconds,
         /*failure_kill=*/true);
   // The freed nodes go back into the pool immediately; queued work (including
   // the victim, once its recovery stall is priced in) competes for them.
@@ -362,18 +440,18 @@ void SchedulerReplay::running_jobs_on_nodes(
   const int last = first + count;
   const int offset = reserved_.node_count();  // shared-partition global base
   for (std::size_t pool = 0; pool < 2; ++pool) {
-    for (std::uint32_t i = running_pools_[pool].front();
-         i != common::kIndexNpos; i = common::IndexList::next_of(pool_links_, i)) {
-      const JobRt& rt = rt_[i];
+    for (std::uint32_t r = running_pools_[pool].front();
+         r != common::kIndexNpos; r = common::IndexList::next_of(pool_links_, r)) {
+      const JobRec& rec = recs_[r];
       bool hit = false;
-      for (const auto& slice : rt.alloc.slices) {
-        const int node = slice.node + (rt.on_reserved ? 0 : offset);
+      for (const auto& slice : rec.alloc.slices) {
+        const int node = slice.node + (rec.on_reserved ? 0 : offset);
         if (node >= first && node < last) {
           hit = true;
           break;
         }
       }
-      if (hit) out.push_back(i);
+      if (hit) out.push_back(rec.job);
     }
   }
 }
@@ -424,12 +502,12 @@ void SchedulerReplay::preempt_pretraining_if_starved() {
   for (auto* queue : {&queues_[1], &queues_[2]}) {
     if (queue->empty()) continue;
     const std::uint32_t head = queue->front();
-    if (engine_->now() - rt_[head].waiting_since < config_.fairness_wait_seconds)
+    if (engine_->now() - recs_[head].waiting_since < config_.fairness_wait_seconds)
       continue;
     // Evict the youngest pretraining victims until the starved head fits,
     // then start it immediately — before the evicted (higher-priority)
     // pretraining job can re-claim the freed nodes.
-    while (!pretrain.empty() && !shared_.can_allocate(jobs_[head].gpus)) {
+    while (!pretrain.empty() && !shared_.can_allocate(recs_[head].gpus)) {
       evict(pretrain.back(), config_.pretrain_rollback_cap_seconds,
             config_.preemption_overhead_seconds, /*failure_kill=*/false);
     }
@@ -473,7 +551,7 @@ void SchedulerReplay::try_dispatch() {
       // tail appends from evictions inside try_start (victims re-enter
       // queues at the back; queued entries are never unlinked mid-scan).
       const std::uint32_t nxt = common::IndexList::next_of(queue_links_, i);
-      const int gpus = jobs_[i].gpus;
+      const int gpus = recs_[i].gpus;
       if (prunable && gpus >= min_failed_gpus) {
         --failures_left;
       } else if (try_start(i)) {
@@ -489,11 +567,10 @@ void SchedulerReplay::try_dispatch() {
 
 namespace {
 
-// Per-job runtime record flattened for bulk serialization. Handles travel as
-// raw u64s; allocation slices are flattened into one side array (slice_count
-// says how many belong to each job).
-struct RtPod {
-  std::uint64_t submit;
+// Live runtime record flattened for bulk serialization. The completion
+// handle travels as a raw u64; allocation slices are flattened into one side
+// array (slice_count says how many belong to each record).
+struct RecPod {
   std::uint64_t completion;
   double started_at;
   double extra_overhead;
@@ -508,18 +585,6 @@ struct SlicePod {
   std::int32_t cpus;
 };
 
-// Front-to-back member order of an intrusive list (FCFS order is replay
-// state: restore must rebuild it exactly).
-std::vector<std::uint32_t> list_order(const common::IndexList& list,
-                                      const common::IndexLinks& links) {
-  std::vector<std::uint32_t> order;
-  order.reserve(list.size());
-  for (std::uint32_t i = list.front(); i != common::kIndexNpos;
-       i = common::IndexList::next_of(links, i))
-    order.push_back(i);
-  return order;
-}
-
 }  // namespace
 
 void SchedulerReplay::save(snap::SnapshotWriter& w) const {
@@ -533,72 +598,47 @@ void SchedulerReplay::save(snap::SnapshotWriter& w) const {
   static_assert(std::is_trivially_copyable_v<trace::JobRecord>);
   w.reserve(jobs_.size() * (sizeof(trace::JobRecord) + 16) + (1u << 16));
   w.write_pod_vec(jobs_);
-  // Runtime records are stored sparsely — at a mid-replay quiescent point
-  // most jobs are in one of two trivial states, and paying 48 bytes each for
-  // them would make rt the snapshot's dominant section:
-  //  - pending: the up-front submission event hasn't fired yet. Everything
-  //    except the submit handle is still default (on_submit clears the handle
-  //    when it fires), so index + raw handle reconstructs the record.
-  //  - dead: the job completed (or is a zero-delay CPU passthrough). Its
-  //    residual record is never read again — finish_replay derives unstarted
-  //    from the queue sizes and nothing re-enqueues a completed job — so the
-  //    snapshot drops it and restore leaves the default record in place.
-  // Only live jobs (queued or running: list members or a pending completion)
-  // carry a full RtPod, keyed by trace index.
-  std::vector<std::uint32_t> queue_orders[3];
-  std::vector<std::uint32_t> pool_orders[2];
-  std::vector<char> live(rt_.size(), 0);
-  for (std::size_t q = 0; q < 3; ++q) {
-    queue_orders[q] = list_order(queues_[q], queue_links_);
-    for (const std::uint32_t i : queue_orders[q]) live[i] = 1;
-  }
-  for (std::size_t p = 0; p < 2; ++p) {
-    pool_orders[p] = list_order(running_pools_[p], pool_links_);
-    for (const std::uint32_t i : pool_orders[p]) live[i] = 1;
-  }
-  std::vector<std::uint32_t> pending_idx;
-  std::vector<std::uint64_t> pending_submit;
+  // Only live (queued or running) jobs own a record; pending submissions
+  // live in the engine's lane and completed jobs in the trace alone. Records
+  // are written in ascending trace index and list orders as trace indices,
+  // so the bytes never depend on which pool record a job happened to take.
   std::vector<std::uint32_t> live_idx;
-  std::vector<RtPod> live_pods;
+  for (const JobRec& rec : recs_)
+    if (rec.job != kNoRecord) live_idx.push_back(rec.job);
+  std::sort(live_idx.begin(), live_idx.end());
+  std::vector<RecPod> live_pods;
   std::vector<SlicePod> slices;
-  for (std::size_t i = 0; i < rt_.size(); ++i) {
-    const JobRt& rt = rt_[i];
-    if (!live[i] && !rt.completion.valid()) {
-      const bool default_but_submit =
-          rt.alloc.slices.empty() && rt.started_at == 0.0 &&
-          rt.extra_overhead == 0.0 && rt.progress_done == 0.0 &&
-          rt.waiting_since == 0.0 && !rt.on_reserved && !rt.delay_recorded;
-      if (rt.submit.valid() && default_but_submit) {
-        pending_idx.push_back(static_cast<std::uint32_t>(i));
-        pending_submit.push_back(rt.submit.raw());
-        continue;
-      }
-      // No pending event and no list membership: the job completed (residual
-      // scalars like started_at are dead state) or is an untouched CPU
-      // passthrough. Either way nothing reads the record again — drop it.
-      if (!rt.submit.valid()) continue;
-    }
-    live_idx.push_back(static_cast<std::uint32_t>(i));
-    live_pods.push_back(RtPod{rt.submit.raw(),
-                              rt.completion.raw(),
-                              rt.started_at,
-                              rt.extra_overhead,
-                              rt.progress_done,
-                              rt.waiting_since,
-                              static_cast<std::uint32_t>(
-                                  (rt.on_reserved ? 1u : 0u) |
-                                  (rt.delay_recorded ? 2u : 0u)),
-                              static_cast<std::uint32_t>(rt.alloc.slices.size())});
-    for (const auto& s : rt.alloc.slices)
-      slices.push_back(SlicePod{s.node, s.gpus, s.cpus});
+  live_pods.reserve(live_idx.size());
+  for (const std::uint32_t i : live_idx) {
+    const JobRec& rec = recs_[rec_of_[i]];
+    live_pods.push_back(RecPod{rec.completion.raw(),
+                               rec.started_at,
+                               rec.extra_overhead,
+                               rec.progress_done,
+                               rec.waiting_since,
+                               static_cast<std::uint32_t>(
+                                   (rec.on_reserved ? 1u : 0u) |
+                                   (rec.delay_recorded ? 2u : 0u)),
+                               static_cast<std::uint32_t>(rec.alloc.slices.size())});
+    for (const auto& sl : rec.alloc.slices)
+      slices.push_back(SlicePod{sl.node, sl.gpus, sl.cpus});
   }
-  w.write_pod_vec(pending_idx);
-  w.write_pod_vec(pending_submit);
   w.write_pod_vec(live_idx);
   w.write_pod_vec(live_pods);
   w.write_pod_vec(slices);
-  for (const auto& order : queue_orders) w.write_pod_vec(order);
-  for (const auto& order : pool_orders) w.write_pod_vec(order);
+  // Front-to-back member order of each list, as trace indices (FCFS order
+  // is replay state: restore must rebuild it exactly).
+  const auto write_order = [&](const common::IndexList& list,
+                               const common::IndexLinks& links) {
+    std::vector<std::uint32_t> order;
+    order.reserve(list.size());
+    for (std::uint32_t r = list.front(); r != common::kIndexNpos;
+         r = common::IndexList::next_of(links, r))
+      order.push_back(recs_[r].job);
+    w.write_pod_vec(order);
+  };
+  for (const auto& queue : queues_) write_order(queue, queue_links_);
+  for (const auto& pool : running_pools_) write_order(pool, pool_links_);
   w.write_f64(replay_start_);
   w.write_u64(pending_submissions_);
   w.write_bool(capacity_freed_);
@@ -623,69 +663,49 @@ void SchedulerReplay::restore_replay(snap::SnapshotReader& r) {
                  "restore_replay into a scheduler with an active replay");
   r.enter_section("sched.replay");
   r.read_pod_vec(jobs_);
-  // Same capacity bound arm_replay establishes, so the restored replay keeps
-  // the no-mid-run-reallocation guarantee. Sized before the rebinds below so
-  // any engine slot-vector growth happens while the slots are still
+  // The same engine bound, record pool, wide-gang pre-spill and scratch
+  // reservation arm_replay establishes, so the restored drain is as
+  // allocation-free as a fresh one. Sized before the rebinds below so any
+  // engine slot-vector growth happens while the slots are still
   // callback-free (partition GPU totals are fixed at construction, so they
-  // are valid before the ledgers' own restore).
-  engine_->reserve(jobs_.size() +
-                   static_cast<std::size_t>(std::max(
-                       0, reserved_.total_gpus() + shared_.total_gpus())) +
-                   4);
-  std::vector<std::uint32_t> pending_idx;
-  std::vector<std::uint64_t> pending_submit;
+  // are valid before the ledgers' own restore). This also registers the
+  // submission lane's handler.
+  reset_runtime_state();
   std::vector<std::uint32_t> live_idx;
-  std::vector<RtPod> live_pods;
+  std::vector<RecPod> live_pods;
   std::vector<SlicePod> slices;
-  r.read_pod_vec(pending_idx);
-  r.read_pod_vec(pending_submit);
   r.read_pod_vec(live_idx);
   r.read_pod_vec(live_pods);
   r.read_pod_vec(slices);
-  ACME_CHECK(pending_idx.size() == pending_submit.size());
   ACME_CHECK(live_idx.size() == live_pods.size());
-  rt_.assign(jobs_.size(), JobRt{});
-  // The sparse groups name every job with a pending event, so the callbacks
-  // are rebound right here during application — no post-pass over rt_.
-  for (std::size_t k = 0; k < pending_idx.size(); ++k) {
-    const std::size_t i = pending_idx[k];
-    ACME_CHECK(i < rt_.size());
-    rt_[i].submit = sim::EventHandle::from_raw(pending_submit[k]);
-    engine_->rebind(rt_[i].submit, [this, i] { on_submit(i); });
-  }
   std::size_t slice_cursor = 0;
   for (std::size_t k = 0; k < live_idx.size(); ++k) {
-    const std::size_t i = live_idx[k];
-    ACME_CHECK(i < rt_.size());
-    const RtPod& pod = live_pods[k];
-    JobRt& rt = rt_[i];
-    rt.submit = sim::EventHandle::from_raw(pod.submit);
-    rt.completion = sim::EventHandle::from_raw(pod.completion);
-    rt.started_at = pod.started_at;
-    rt.extra_overhead = pod.extra_overhead;
-    rt.progress_done = pod.progress_done;
-    rt.waiting_since = pod.waiting_since;
-    rt.on_reserved = (pod.flags & 1u) != 0;
-    rt.delay_recorded = (pod.flags & 2u) != 0;
+    const std::uint32_t i = live_idx[k];
+    ACME_CHECK(i < jobs_.size() && rec_of_[i] == kNoRecord);
+    const std::uint32_t id = take_record(i);
+    JobRec& rec = recs_[id];
+    const RecPod& pod = live_pods[k];
+    rec.completion = sim::EventHandle::from_raw(pod.completion);
+    rec.started_at = pod.started_at;
+    rec.extra_overhead = pod.extra_overhead;
+    rec.progress_done = pod.progress_done;
+    rec.waiting_since = pod.waiting_since;
+    rec.on_reserved = (pod.flags & 1u) != 0;
+    rec.delay_recorded = (pod.flags & 2u) != 0;
     for (std::uint32_t j = 0; j < pod.slice_count; ++j) {
       ACME_CHECK(slice_cursor < slices.size());
-      const SlicePod& s = slices[slice_cursor++];
-      rt.alloc.slices.push_back({s.node, s.gpus, s.cpus});
+      const SlicePod& sl = slices[slice_cursor++];
+      rec.alloc.slices.push_back({sl.node, sl.gpus, sl.cpus});
     }
-    if (rt.submit.valid())
-      engine_->rebind(rt.submit, [this, i] { on_submit(i); });
-    if (rt.completion.valid())
-      engine_->rebind(rt.completion, [this, i] { on_complete(i); });
+    if (rec.completion.valid())
+      engine_->rebind(rec.completion, [this, id] { on_complete(id); });
   }
   ACME_CHECK(slice_cursor == slices.size());
-  queue_links_.assign(jobs_.size());
-  pool_links_.assign(jobs_.size());
-  const auto read_list = [&r](common::IndexList& list,
-                              common::IndexLinks& links) {
+  const auto read_list = [&](common::IndexList& list, common::IndexLinks& links) {
     list = common::IndexList{};
     std::vector<std::uint32_t> order;
     r.read_pod_vec(order);
-    for (const std::uint32_t i : order) list.push_back(links, i);
+    for (const std::uint32_t i : order) list.push_back(links, live_record(i));
   };
   for (auto& queue : queues_) read_list(queue, queue_links_);
   for (auto& pool : running_pools_) read_list(pool, pool_links_);
@@ -708,29 +728,29 @@ void SchedulerReplay::restore_replay(snap::SnapshotReader& r) {
   r.leave_section();
   reserved_.restore(r);
   shared_.restore(r);
-  pretrain_scratch_.clear();
   if (sample_event_.valid())
     engine_->rebind(sample_event_, [this, interval = sample_interval_] {
       sample_occupancy(interval);
     });
 }
 
-void SchedulerReplay::on_complete(std::size_t index) {
-  auto& job = jobs_[index];
-  auto& rt = rt_[index];
-  (rt.on_reserved ? reserved_ : shared_).release(rt.alloc);
-  rt.alloc.clear();
-  rt.on_reserved = false;
-  rt.completion = {};
+void SchedulerReplay::on_complete(std::uint32_t r) {
+  JobRec& rec = recs_[r];
+  (rec.on_reserved ? reserved_ : shared_).release(rec.alloc);
+  rec.alloc.clear();
   capacity_freed_ = true;
-  const QueueClass cls = classify(job.type);
+  const QueueClass cls = rec.cls;
   running_pools_[cls == QueueClass::kPretrain ? kPoolPretrain : kPoolBestEffort]
-      .erase(pool_links_, static_cast<std::uint32_t>(index));
+      .erase(pool_links_, r);
   if (cls == QueueClass::kEvaluation) {
-    eval_gpus_in_use_ -= job.gpus;
+    eval_gpus_in_use_ -= rec.gpus;
     ACME_CHECK(eval_gpus_in_use_ >= 0);
   }
   --running_jobs_;
+  // The job is done: its record goes back to the free list of its class.
+  rec_of_[rec.job] = kNoRecord;
+  rec.job = kNoRecord;
+  free_recs_[spill_class(rec.gpus)].push_back(r);
   try_dispatch();
 }
 

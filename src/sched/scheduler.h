@@ -21,6 +21,7 @@
 // replay() remains the one-call path.
 #pragma once
 
+#include <array>
 #include <memory>
 #include <vector>
 
@@ -113,10 +114,12 @@ class SchedulerReplay {
   ReplayResult replay(const trace::Trace& input, double sample_interval = 0);
   ReplayResult replay(trace::Trace&& input, double sample_interval = 0);
 
-  // Integrated-spine protocol: begin_replay() schedules every submission and
-  // the occupancy sampler (relative to engine().now()) but does not pump the
-  // engine; the caller runs the engine — interleaving its own events — and
-  // collects the result with finish_replay() once the engine drained.
+  // Integrated-spine protocol: begin_replay() posts every submission and
+  // schedules the occupancy sampler (relative to engine().now()) but does not
+  // pump the engine; the caller runs the engine — interleaving its own
+  // events — and collects the result with finish_replay() once the engine
+  // drained. Submissions ride the engine's post lane, whose handler this
+  // scheduler registers: an engine hosts at most one replay at a time.
   void begin_replay(const trace::Trace& input, double sample_interval = 0);
   void begin_replay(trace::Trace&& input, double sample_interval = 0);
   ReplayResult finish_replay();
@@ -135,10 +138,7 @@ class SchedulerReplay {
   // Indices (into the active trace) of running pretraining jobs, oldest
   // first. The returned reference is a scratch snapshot rebuilt per call; it
   // stays valid until the next call but not across kill_job/engine steps.
-  const std::vector<std::size_t>& running_pretrain_jobs() const {
-    running_pools_[kPoolPretrain].copy_to(pool_links_, pretrain_scratch_);
-    return pretrain_scratch_;
-  }
+  const std::vector<std::size_t>& running_pretrain_jobs() const;
   const trace::JobRecord& active_job(std::size_t index) const {
     return jobs_[index];
   }
@@ -171,10 +171,10 @@ class SchedulerReplay {
   // Test introspection: a running job's allocation and which partition it
   // landed on (slice node ids are partition-local).
   const cluster::Allocation& allocation_of(std::size_t index) const {
-    return rt_[index].alloc;
+    return recs_[live_record(index)].alloc;
   }
   bool allocation_on_reserved(std::size_t index) const {
-    return rt_[index].on_reserved;
+    return recs_[live_record(index)].on_reserved;
   }
 
   // --- Snapshot support (acme::snap, DESIGN.md §12). Valid only between
@@ -182,11 +182,12 @@ class SchedulerReplay {
   //
   // The snapshot carries the trace verbatim (JobRecord is a flat POD, so
   // this is one bulk copy and restore never re-synthesizes), plus everything
-  // the replay has mutated: sparse per-job runtime records (pending-submit
-  // jobs as index + handle, queued/running jobs in full; completed jobs'
-  // dead records are dropped), queue/pool orders, both partition ledgers,
-  // counters, and the pending submission/completion/sampler event handles
-  // (rebound into the restored engine).
+  // the replay has mutated: the live (queued or running) records in
+  // ascending trace index, queue/pool orders as trace indices, both
+  // partition ledgers, counters, and the completion/sampler event handles
+  // (rebound into the restored engine). Pending submissions need nothing:
+  // they are lane events in the engine section. Record ids never reach the
+  // bytes, so save -> restore -> save is byte-equal.
   void save(snap::SnapshotWriter& w) const;
   // The engine must already hold the restored event spine.
   void restore_replay(snap::SnapshotReader& r);
@@ -207,11 +208,24 @@ class SchedulerReplay {
 
   // Shared tail of begin_replay once jobs_ holds the active trace.
   void arm_replay(double sample_interval);
+  // Sizes the engine for jobs_, registers the submission lane's handler and
+  // resets the record pool, pre-spilling the wide-gang records (arm and
+  // restore share it).
+  void reset_runtime_state();
+  // Appends a fresh record (and its link ids) to the pool.
+  std::uint32_t new_record();
+  // Takes a free record for trace job `index` (on_submit, restore).
+  std::uint32_t take_record(std::uint32_t index);
+  // Record id of a queued or running job; ACME_CHECKs that it is live.
+  std::uint32_t live_record(std::size_t index) const;
+  // Free-list class of a gang of `gpus`: 0 when its slices fit the
+  // Allocation's inline buffer, else k for records pre-spilled to 2^k slices.
+  std::size_t spill_class(int gpus) const;
   void sample_occupancy(double interval);
-  void on_submit(std::size_t index);
+  void on_submit(std::uint32_t index);
   void try_dispatch();
-  bool try_start(std::size_t index);
-  void on_complete(std::size_t index);
+  bool try_start(std::uint32_t rec);
+  void on_complete(std::uint32_t rec);
   // Evicts the youngest best-effort jobs until `gpus` can be gang-placed on
   // the shared partition; returns false if even a full eviction cannot help.
   bool preempt_for(int gpus);
@@ -220,7 +234,7 @@ class SchedulerReplay {
   // bounds the loss for checkpointed (pretraining) victims; infinity means
   // start from scratch. `failure_kill` routes the accounting to the
   // failure-injection counters instead of the preemption ones.
-  void evict(std::size_t index, double rollback_cap, double overhead_seconds,
+  void evict(std::uint32_t rec, double rollback_cap, double overhead_seconds,
              bool failure_kill);
   // Fairness pass: starved best-effort heads may evict pretraining victims.
   void preempt_pretraining_if_starved();
@@ -233,30 +247,41 @@ class SchedulerReplay {
   cluster::ClusterState reserved_;
   cluster::ClusterState shared_;
   trace::Trace jobs_;
-  // Per-job runtime bookkeeping, one cache-friendly record per trace index
-  // (replaces seven parallel vectors; the dispatch hot path touches most of
-  // these fields together).
-  struct JobRt {
-    cluster::Allocation alloc;   // empty() <=> the job is not running
-    sim::EventHandle submit;     // pending on_submit event (snapshot rebind)
+  // Runtime record of one live (queued or running) job. Records are pooled:
+  // on_submit takes one, on_complete frees it, and an evicted job keeps its
+  // own, so the pool holds the live jobs, not the trace. The class and gang
+  // width are cached here so the dispatch walk never reads the trace.
+  static constexpr std::uint32_t kNoRecord = common::kIndexNpos;
+  struct JobRec {
+    cluster::Allocation alloc;  // empty() <=> the job is not running
     sim::EventHandle completion;
     double started_at = 0.0;
     double extra_overhead = 0.0;  // restart tax added by evictions
     double progress_done = 0.0;   // work completed before an eviction
     double waiting_since = 0.0;   // last enqueue time (fairness clock)
+    std::uint32_t job = kNoRecord;  // owning trace index; kNoRecord = free
+    int gpus = 0;
+    QueueClass cls = QueueClass::kNormal;
     bool on_reserved = false;
     bool delay_recorded = false;  // first-start delay already captured
   };
-  std::vector<JobRt> rt_;
+  std::vector<std::uint32_t> rec_of_;  // trace index -> record id or kNoRecord
+  std::vector<JobRec> recs_;           // reserved to jobs_.size(), never moves
+  // LIFO free lists by spill_class(). Class-k lists (k > 0) are filled at arm
+  // with one record per gang of that class, pre-spilled so starting a wide
+  // gang never allocates mid-drain; class 0 grows on demand.
+  static constexpr std::size_t kSpillClasses = 32;  // 2^31 slices at most
+  std::array<std::vector<std::uint32_t>, kSpillClasses> free_recs_;
   ReplayResult result_storage_;
   ReplayResult* result_ = nullptr;
   double replay_start_ = 0;            // engine time at begin_replay
   std::size_t pending_submissions_ = 0;
-  // Class queues and running pools are intrusive index lists: membership
-  // moves (dispatch, completion, eviction) are O(1) unlinks with zero
-  // allocation. Queues and pools use SEPARATE link arenas because try_start
-  // pushes a job into its running pool while the dispatch scan still holds
-  // the job's queue links (each arena keeps the at-most-one-list invariant).
+  // Class queues and running pools are intrusive lists of record ids:
+  // membership moves (dispatch, completion, eviction) are O(1) unlinks with
+  // zero allocation. Queues and pools use SEPARATE link arenas because
+  // try_start pushes a record into its running pool while the dispatch scan
+  // still holds its queue links (each arena keeps the at-most-one-list
+  // invariant). Both arenas grow with the record pool.
   common::IndexLinks queue_links_;
   common::IndexLinks pool_links_;
   common::IndexList queues_[3];        // FCFS, insertion order

@@ -102,9 +102,10 @@ ServeFleet::ServeFleet(sim::Engine& engine, ServeConfig config,
 
 void ServeFleet::start() {
   // Concurrently pending serve events: one arrival plus one epoch-or-rewarm
-  // per replica. Reserving on top of whatever the caller already scheduled
-  // keeps the steady state free of engine slot growth.
-  engine_.reserve(engine_.pending() + static_cast<std::size_t>(config_.replicas) + 2);
+  // per replica. Reserving on top of whatever the engine already holds room
+  // for (a colocated scheduler's completions) keeps the steady state free of
+  // engine slot growth.
+  engine_.reserve(engine_.capacity() + static_cast<std::size_t>(config_.replicas) + 2);
   queue_last_t_ = engine_.now();
   const double t0 = engine_.now() + arrivals_.next_interarrival(engine_.now());
   if (t0 <= config_.horizon_seconds)

@@ -36,6 +36,7 @@ EventHandle Engine::acquire(Time when) {
     slot = free_slots_.back();
     free_slots_.pop_back();
   } else {
+    ACME_CHECK_MSG(slots_.size() < kLaneTag, "engine slot ids exhausted");
     slot = static_cast<std::uint32_t>(slots_.size());
     slots_.emplace_back();
   }
@@ -46,11 +47,20 @@ EventHandle Engine::acquire(Time when) {
   return EventHandle(slot, seq);
 }
 
-void Engine::reserve(std::size_t events) {
+void Engine::post(Time when, std::uint32_t payload) {
+  ACME_CHECK_MSG(when >= now_, "cannot schedule events in the past");
+  ACME_CHECK_MSG(payload < kLaneTag, "lane payload needs the top bit clear");
+  queue_push(Entry{when, next_seq_++, kLaneTag | payload});
+  ++posted_;
+}
+
+void Engine::reserve(std::size_t events, std::size_t posts) {
   slots_.reserve(events);
   free_slots_.reserve(events);
-  sorted_.reserve(events);
-  heap_.reserve(events);
+  // Either queue level can receive any entry (the split follows push order,
+  // not kind), so both are sized for the whole population.
+  sorted_.reserve(events + posts);
+  heap_.reserve(events + posts);
 }
 
 void Engine::reset() {
@@ -58,6 +68,8 @@ void Engine::reset() {
   next_seq_ = 1;
   fired_ = 0;
   live_ = 0;
+  posted_ = 0;
+  post_handler_ = nullptr;
   unbound_ = 0;
   sorted_.clear();
   sorted_head_ = 0;
@@ -91,6 +103,7 @@ bool Engine::step(Time horizon) {
   while (!queue_empty()) {
     bool from_sorted = false;
     const Entry top = queue_top(from_sorted);
+    if ((top.slot & kLaneTag) != 0) return step_lane(top, from_sorted, horizon);
     if (slots_[top.slot].seq != top.seq) {
       queue_pop(from_sorted);  // cancelled: the slot moved on already
       continue;
@@ -109,6 +122,20 @@ bool Engine::step(Time horizon) {
     return true;
   }
   return false;
+}
+
+// Lane entries are never cancelled, so there is no stale check.
+bool Engine::step_lane(const Entry& top, bool from_sorted, Time horizon) {
+  if (top.time > horizon) return false;
+  ACME_CHECK_MSG(post_handler_,
+                 "lane event fired with no post handler registered");
+  queue_pop(from_sorted);
+  --posted_;
+  now_ = top.time;
+  ++fired_;
+  if (obs::enabled()) observe_dispatch(fired_, pending());
+  post_handler_(top.slot & ~kLaneTag);
+  return true;
 }
 
 std::size_t Engine::run_until(Time horizon) {
@@ -133,6 +160,7 @@ void Engine::save(snap::SnapshotWriter& w) const {
   w.write_u32(next_seq_);
   w.write_u64(fired_);
   w.write_u64(static_cast<std::uint64_t>(live_));
+  w.write_u64(static_cast<std::uint64_t>(posted_));
   // Slot count and the reserve() high-water travel ahead of the bulk arrays
   // so restore can size everything once, before the reads. The capacity hint
   // matters: subsystems re-issue their arm-time reserve() bound after the
@@ -142,7 +170,8 @@ void Engine::save(snap::SnapshotWriter& w) const {
   w.write_u64(static_cast<std::uint64_t>(slots_.capacity()));
   // Only the unpopped tail of the sorted run matters; the restore re-bases
   // the cursor at zero. The heap is written verbatim, stale entries and all
-  // (they cost 16 bytes each and preserve the exact pop sequence).
+  // (they cost 16 bytes each and preserve the exact pop sequence). Lane
+  // entries ride in both arrays as they are: tag, payload and seq.
   w.write_pod_span(sorted_.data() + sorted_head_, sorted_.size() - sorted_head_);
   w.write_pod_vec(heap_);
   // Slot generations are sparse by construction: retire() zeroes a slot's
@@ -161,8 +190,8 @@ void Engine::save(snap::SnapshotWriter& w) const {
 }
 
 void Engine::restore(snap::SnapshotReader& r) {
-  ACME_CHECK_MSG(live_ == 0 && queue_empty() && now_ == 0 && next_seq_ == 1 &&
-                     fired_ == 0,
+  ACME_CHECK_MSG(pending() == 0 && queue_empty() && now_ == 0 &&
+                     next_seq_ == 1 && fired_ == 0,
                  "Engine::restore requires a fresh (or reset()) engine; "
                  "restoring over live events would orphan them");
   r.enter_section("sim.engine");
@@ -170,6 +199,7 @@ void Engine::restore(snap::SnapshotReader& r) {
   next_seq_ = r.read_u32();
   fired_ = r.read_u64();
   live_ = static_cast<std::size_t>(r.read_u64());
+  posted_ = static_cast<std::size_t>(r.read_u64());
   // Recompute capacity bounds from the restored slot count before the bulk
   // reads, so restored replays keep the no-mid-run-reallocation guarantee
   // arm_replay established in the original run.

@@ -16,6 +16,14 @@
 // handle is detected with one array load, heap entries stay 16 bytes, and
 // handles stay O(1)-cancellable and safe to use after the event fired
 // (double-cancel / cancel-after-fire return false).
+//
+// Bulk pre-posted events (a replay's submissions) skip the slot vector: a
+// post() carries a u32 payload in the run-queue entry itself and fires the
+// one handler its owner registered, so the engine's per-event state is one
+// 16-byte entry instead of an entry plus a 64-byte slot. These "lane" events
+// draw their seq from the same counter as schedule_at, so the (time, seq)
+// pop order is the same as if each had been scheduled with a callback; they
+// cannot be cancelled.
 #pragma once
 
 #include <algorithm>
@@ -113,16 +121,29 @@ class Engine {
   // Cancels a pending event. Returns true if the event was still pending.
   bool cancel(EventHandle handle);
 
-  // Pre-sizes the slot vector and heap for `events` concurrently pending
-  // events. Purely an optimization: growing past the reservation still
-  // works, but bulk schedulers (a replay posts every submission up front)
-  // avoid repeated doubling, which move-relocates every live callback slot.
-  void reserve(std::size_t events);
+  // Handler for lane events: called with the payload of each post() as it
+  // fires. One per engine; registering replaces the previous handler.
+  using PostFn = std::function<void(std::uint32_t)>;
+  void set_post_handler(PostFn fn) { post_handler_ = std::move(fn); }
+  // Posts a lane event at absolute time `when` (>= now): no slot, no handle,
+  // no cancel. `payload` must be below 2^31 (the top bit tags lane entries).
+  void post(Time when, std::uint32_t payload);
+
+  // Pre-sizes the engine for `events` concurrently pending slot events plus
+  // `posts` lane events. Purely an optimization: growing past the
+  // reservation still works, but a drain that stays inside it never
+  // reallocates (slot-vector doubling would move-relocate every live
+  // callback). Capacity only grows; untouched capacity costs address space,
+  // not resident memory.
+  void reserve(std::size_t events, std::size_t posts = 0);
+  // Slot events the engine holds without growing its slot vector.
+  std::size_t capacity() const { return slots_.capacity(); }
 
   // Returns the engine to its initial state (t = 0, no pending events, seq
-  // restarted) while keeping the slot and run-queue capacity. Because the
-  // clock restarts at zero, a reused engine produces bit-identical event
-  // times to a brand-new one — the basis for Monte Carlo scratch reuse.
+  // restarted, no post handler) while keeping the slot and run-queue
+  // capacity. Because the clock restarts at zero, a reused engine produces
+  // bit-identical event times to a brand-new one — the basis for Monte Carlo
+  // scratch reuse.
   void reset();
 
   // Runs events until the queue is empty or the horizon is reached. Events
@@ -134,21 +155,24 @@ class Engine {
   // beyond `horizon`.
   bool step(Time horizon);
 
-  // Exact count of live (scheduled, not yet fired or cancelled) events;
-  // maintained as a counter, so accuracy does not depend on how many
+  // Exact count of live (scheduled or posted, not yet fired or cancelled)
+  // events; maintained as counters, so accuracy does not depend on how many
   // cancelled entries still sit in the heap.
-  std::size_t pending() const { return live_; }
+  std::size_t pending() const { return live_ + posted_; }
   std::uint64_t events_fired() const { return fired_; }
 
   // --- Snapshot support (acme::snap, DESIGN.md §12) ---
   //
   // Callbacks are type-erased closures (InlineFn) and cannot be serialized;
   // instead save() persists the queue STRUCTURE verbatim — clock, sequence
-  // counter, slot generations, free list, both run-queue levels — and each
-  // subsystem re-installs its own callbacks into the restored slots via
-  // rebind(). Because the (time, seq) entries are byte-identical, the
-  // restored engine pops events in exactly the original order, which is
+  // counter, slot generations, free list, both run-queue levels (lane
+  // entries included) — and each subsystem re-installs its own callbacks
+  // into the restored slots via rebind(), and its post handler via
+  // set_post_handler(). Because the (time, seq) entries are byte-identical,
+  // the restored engine pops events in exactly the original order, which is
   // what makes restored-run digests byte-identical to straight-through runs.
+  // A restored lane event that fires with no handler registered is a loud
+  // ACME_CHECK failure.
   void save(snap::SnapshotWriter& w) const;
   // Restores into a fresh or reset() engine only (non-empty restore is a
   // loud ACME_CHECK failure); recomputes reserve() bounds from the restored
@@ -166,10 +190,11 @@ class Engine {
     s.fn.emplace(std::forward<F>(fn));
     if (unbound_ > 0) --unbound_;
   }
-  // Pending events whose callback has not been rebound yet; a fully restored
-  // world must bring this to zero before running. Maintained as a counter
-  // (restore() arms it with the live-event count, every rebind() retires
-  // one) so the check does not re-walk the whole slot vector.
+  // Pending slot events whose callback has not been rebound yet; a fully
+  // restored world must bring this to zero before running. Maintained as a
+  // counter (restore() arms it with the live slot-event count, every
+  // rebind() retires one) so the check does not re-walk the slot vector.
+  // Lane events never count: they have no callback to rebind.
   std::size_t unbound() const { return unbound_; }
 
  private:
@@ -179,14 +204,16 @@ class Engine {
   // fires ~2 million events, three orders of magnitude of headroom.
   struct Entry {
     Time time;
-    std::uint32_t seq;  // global insertion order, breaks time ties
-    std::uint32_t slot;
+    std::uint32_t seq;   // global insertion order, breaks time ties
+    std::uint32_t slot;  // slot id, or kLaneTag | payload for a lane event
     // Ordered as a min-heap on (time, seq).
     bool operator>(const Entry& other) const {
       if (time != other.time) return time > other.time;
       return seq > other.seq;
     }
   };
+  // Marks a lane entry; slot ids stay below it (2^31 slots would be 128 GiB).
+  static constexpr std::uint32_t kLaneTag = 0x80000000u;
   // One callback slot, reused across events; exactly one cache line. seq is
   // the insertion seq of the current occupant (0 = vacant); retiring the
   // slot (fire or cancel) zeroes it, invalidating outstanding handles and
@@ -200,6 +227,9 @@ class Engine {
   // entry, bumps the live count) and returns its handle; the caller installs
   // the callback into slots_[handle.slot_].fn.
   EventHandle acquire(Time when);
+
+  // step() for a lane entry at the front of the queue.
+  bool step_lane(const Entry& top, bool from_sorted, Time horizon);
 
   // Retires a slot: drops the callback, bumps the generation and recycles the
   // index. Callers own the fn move-out when they need to run it first.
@@ -247,7 +277,9 @@ class Engine {
   Time now_ = 0;
   std::uint32_t next_seq_ = 1;
   std::uint64_t fired_ = 0;
-  std::size_t live_ = 0;
+  std::size_t live_ = 0;    // pending slot events
+  std::size_t posted_ = 0;  // pending lane events
+  PostFn post_handler_;
   std::vector<Entry> sorted_;  // ascending run, popped at sorted_head_
   std::size_t sorted_head_ = 0;
   std::vector<Entry> heap_;  // out-of-order pushes, binary min-heap

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -306,6 +307,86 @@ TEST(Engine, ReentrantScheduleDuringStepIsCancellable) {
   EXPECT_TRUE(e.cancel(inner));
   e.run();
   EXPECT_FALSE(inner_fired);
+}
+
+// --- Lane events: slotless post(payload) dispatched to one handler ---
+
+TEST(EngineLane, SameTimeLaneAndSlotFireInSeqOrderBothWaysRound) {
+  // Lane first, then slot.
+  {
+    Engine e;
+    std::vector<int> order;
+    e.set_post_handler([&](std::uint32_t p) { order.push_back(static_cast<int>(p)); });
+    e.post(5.0, 1);
+    e.schedule_at(5.0, [&] { order.push_back(-1); });
+    e.post(5.0, 2);
+    e.run();
+    EXPECT_EQ(order, (std::vector<int>{1, -1, 2}));
+  }
+  // Slot first, then lane.
+  {
+    Engine e;
+    std::vector<int> order;
+    e.set_post_handler([&](std::uint32_t p) { order.push_back(static_cast<int>(p)); });
+    e.schedule_at(5.0, [&] { order.push_back(-1); });
+    e.post(5.0, 7);
+    e.schedule_at(5.0, [&] { order.push_back(-2); });
+    e.run();
+    EXPECT_EQ(order, (std::vector<int>{-1, 7, -2}));
+  }
+}
+
+TEST(EngineLane, InterleavesWithSlotEventsByTime) {
+  Engine e;
+  std::vector<std::pair<double, int>> fired;
+  e.set_post_handler([&](std::uint32_t p) {
+    fired.emplace_back(e.now(), static_cast<int>(p));
+    // A handler may schedule slot events of its own.
+    if (p == 0) e.schedule_after(0.5, [&] { fired.emplace_back(e.now(), -1); });
+  });
+  for (std::uint32_t i = 0; i < 4; ++i) e.post(static_cast<double>(i), i);
+  e.schedule_at(2.25, [&] { fired.emplace_back(e.now(), -2); });
+  EXPECT_EQ(e.run(), 6u);
+  const std::vector<std::pair<double, int>> want = {
+      {0.0, 0}, {0.5, -1}, {1.0, 1}, {2.0, 2}, {2.25, -2}, {3.0, 3}};
+  EXPECT_EQ(fired, want);
+  EXPECT_EQ(e.events_fired(), 6u);
+}
+
+TEST(EngineLane, PendingCountsLaneEvents) {
+  Engine e;
+  int hits = 0;
+  e.set_post_handler([&](std::uint32_t) { ++hits; });
+  e.post(1.0, 0);
+  e.post(2.0, 1);
+  e.schedule_at(1.5, [] {});
+  EXPECT_EQ(e.pending(), 3u);
+  EXPECT_TRUE(e.step(1.0));
+  EXPECT_EQ(e.pending(), 2u);
+  e.run();
+  EXPECT_EQ(e.pending(), 0u);
+  EXPECT_EQ(hits, 2);
+}
+
+TEST(EngineLane, ResetDropsLaneEvents) {
+  Engine e;
+  int hits = 0;
+  e.set_post_handler([&](std::uint32_t) { ++hits; });
+  e.post(1.0, 0);
+  e.post(2.0, 1);
+  e.reset();
+  EXPECT_EQ(e.pending(), 0u);
+  EXPECT_EQ(e.run(), 0u);
+  EXPECT_EQ(hits, 0);
+}
+
+TEST(EngineLane, RejectsPastTimesAndTaggedPayloads) {
+  Engine e;
+  e.set_post_handler([](std::uint32_t) {});
+  e.post(2.0, 0);
+  e.run();
+  EXPECT_THROW(e.post(1.0, 0), common::CheckError);
+  EXPECT_THROW(e.post(3.0, 0x80000000u), common::CheckError);
 }
 
 TEST(Engine, SlotsAreRecycledNotLeaked) {

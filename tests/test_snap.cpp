@@ -1,5 +1,6 @@
 // acme::snap — format round-trips, loud-failure paths, and save/restore of
-// the leaf state holders (engine spine, rng, cluster ledger). World-level
+// the leaf state holders (engine spine, rng, cluster ledger) plus the
+// scheduler's snapshot footprint. World-level
 // snapshot oracles live in test_determinism; parser hardening in test_world.
 #include <gtest/gtest.h>
 
@@ -10,10 +11,12 @@
 #include <vector>
 
 #include "cluster/state.h"
+#include "sched/scheduler.h"
 #include "common/check.h"
 #include "common/rng.h"
 #include "sim/engine.h"
 #include "snap/format.h"
+#include "trace/job.h"
 
 namespace {
 
@@ -254,6 +257,111 @@ TEST(SnapEngine, RebindRejectsStaleAndDoubleBinds) {
   EXPECT_THROW(b.rebind(h, [] {}), CheckError);  // already bound
   acme::sim::EventHandle stale;                  // seq 0: never pending
   EXPECT_THROW(b.rebind(stale, [] {}), CheckError);
+}
+
+// Lane entries (post(payload)) ride in the queue arrays verbatim: a mixed
+// lane/slot queue pops in the same order after a round-trip, with only the
+// slot events needing a rebind and the lane needing its handler again.
+TEST(SnapEngine, MixedLaneAndSlotQueueRoundTripsInOrder) {
+  acme::sim::Engine a;
+  std::vector<std::pair<int, double>> fired_a;
+  a.set_post_handler([&fired_a, &a](std::uint32_t p) {
+    fired_a.push_back({static_cast<int>(p), a.now()});
+  });
+  std::vector<acme::sim::EventHandle> handles;
+  // Ascending posts land in the sorted run; an out-of-order post and the
+  // slot events exercise the heap; equal times pin seq tie-breaks.
+  const double post_times[] = {1.0, 2.0, 2.0, 4.0, 0.75};
+  for (std::uint32_t i = 0; i < 5; ++i) a.post(post_times[i], i);
+  const double slot_times[] = {2.0, 0.5, 3.0};
+  for (int i = 0; i < 3; ++i)
+    handles.push_back(a.schedule_at(slot_times[i], [&fired_a, &a, i] {
+      fired_a.push_back({100 + i, a.now()});
+    }));
+  ASSERT_TRUE(a.step(kInf));  // fires slot 1 (t = 0.5)
+  ASSERT_TRUE(a.step(kInf));  // fires lane 4 (t = 0.75)
+  ASSERT_EQ(fired_a.size(), 2u);
+
+  SnapshotWriter w;
+  a.save(w);
+  SnapshotReader r(w.finish());
+  acme::sim::Engine b;
+  std::vector<std::pair<int, double>> fired_b;
+  b.restore(r);
+  EXPECT_EQ(b.pending(), a.pending());
+  EXPECT_EQ(b.pending(), 6u);  // four lane events + two slot events
+  EXPECT_EQ(b.unbound(), 2u);  // only slot events need a rebind
+  b.set_post_handler([&fired_b, &b](std::uint32_t p) {
+    fired_b.push_back({static_cast<int>(p), b.now()});
+  });
+  for (const int i : {0, 2})
+    b.rebind(handles[static_cast<std::size_t>(i)], [&fired_b, &b, i] {
+      fired_b.push_back({100 + i, b.now()});
+    });
+  EXPECT_EQ(b.unbound(), 0u);
+
+  // Saving the restored engine again writes the same bytes.
+  SnapshotWriter w2;
+  b.save(w2);
+  SnapshotWriter w1;
+  a.save(w1);
+  EXPECT_EQ(w2.finish(), w1.finish());
+
+  while (a.step(kInf)) {
+  }
+  while (b.step(kInf)) {
+  }
+  fired_b.insert(fired_b.begin(), fired_a.begin(), fired_a.begin() + 2);
+  EXPECT_EQ(fired_a, fired_b);
+  const std::vector<std::pair<int, double>> want = {
+      {101, 0.5}, {4, 0.75}, {0, 1.0}, {1, 2.0}, {2, 2.0},
+      {100, 2.0}, {102, 3.0}, {3, 4.0}};
+  EXPECT_EQ(fired_a, want);
+}
+
+TEST(SnapEngine, RestoredLaneWithoutHandlerFailsLoudly) {
+  acme::sim::Engine a;
+  a.set_post_handler([](std::uint32_t) {});
+  a.post(1.0, 3);
+  SnapshotWriter w;
+  a.save(w);
+  SnapshotReader r(w.finish());
+  acme::sim::Engine b;
+  b.restore(r);
+  EXPECT_EQ(b.unbound(), 0u);  // nothing to rebind, but a handler is owed
+  EXPECT_THROW(b.step(kInf), CheckError);
+  EXPECT_EQ(b.pending(), 1u);  // the event was not consumed
+  int seen = -1;
+  b.set_post_handler([&seen](std::uint32_t p) { seen = static_cast<int>(p); });
+  EXPECT_TRUE(b.step(kInf));
+  EXPECT_EQ(seen, 3);
+}
+
+// A freshly armed replay's snapshot is the trace plus one 16-byte lane entry
+// per submission: no per-job runtime record, slot generation or submission
+// handle rides along.
+TEST(SnapSched, FreshlyArmedReplayFootprintIsTraceBound) {
+  const acme::cluster::ClusterSpec spec = acme::cluster::seren_spec();
+  acme::trace::Trace jobs;
+  constexpr std::size_t kJobs = 20000;
+  for (std::size_t i = 0; i < kJobs; ++i) {
+    acme::trace::JobRecord job;
+    job.type = i % 5 == 0 ? acme::trace::WorkloadType::kEvaluation
+                          : acme::trace::WorkloadType::kSFT;
+    job.gpus = 1 + static_cast<int>(i % 16);
+    job.submit_time = static_cast<double>(i) * 30.0;
+    job.duration = 600.0;
+    jobs.push_back(job);
+  }
+  acme::sim::Engine engine;
+  acme::sched::SchedulerReplay replay(engine, spec,
+                                      acme::sched::seren_scheduler_config());
+  replay.begin_replay(std::move(jobs), /*sample_interval=*/3600.0);
+  SnapshotWriter w;
+  engine.save(w);
+  replay.save(w);
+  const std::size_t bytes = w.finish().size();
+  EXPECT_LE(bytes, kJobs * (sizeof(acme::trace::JobRecord) + 16) + (64u << 10));
 }
 
 TEST(SnapCluster, LedgerRoundTripMatchesPlacementDecisions) {
