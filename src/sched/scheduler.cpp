@@ -197,20 +197,25 @@ void SchedulerReplay::reset_runtime_state() {
   pool_links_ = common::IndexLinks{};
   queue_links_.reserve(jobs_.size());
   pool_links_.reserve(jobs_.size());
-  for (auto& free : free_recs_) free.clear();
-  free_recs_[0].reserve(jobs_.size());
-  // Gangs wider than the slice buffer's inline capacity would spill on first
-  // start; paying the spill here keeps the event loop allocation-free. One
-  // record per wide gang bounds any mix of queued and running wide jobs.
+  free_recs_.clear();
+  free_recs_.reserve(jobs_.size());
+  // Gangs wider than the slice buffer's inline capacity would spill on
+  // start; paying the spill here keeps the event loop allocation-free. A
+  // class-k gang holds at least m_k GPUs while it runs, so no more than
+  // total_gpus / m_k of them run at once, whatever is queued.
   std::array<std::size_t, kSpillClasses> wide{};
   for (const auto& job : jobs_)
     if (job.is_gpu_job()) ++wide[spill_class(job.gpus)];
+  const std::uint64_t per_node = static_cast<std::uint64_t>(std::max(1, spec_.node.gpus));
   for (std::size_t k = 1; k < kSpillClasses; ++k) {
-    free_recs_[k].reserve(wide[k]);
-    for (std::size_t n = 0; n < wide[k]; ++n) {
-      const std::uint32_t id = new_record();
-      recs_[id].alloc.slices.reserve(std::size_t{1} << k);
-      free_recs_[k].push_back(id);
+    const std::uint64_t min_gpus = (std::uint64_t{1} << (k - 1)) * per_node + 1;
+    const auto buffers = std::min<std::size_t>(wide[k], total_gpus / min_gpus);
+    auto& pool = slice_pool_[k];
+    pool.clear();
+    pool.reserve(buffers);
+    for (std::size_t n = 0; n < buffers; ++n) {
+      pool.emplace_back();
+      pool.back().slices.reserve(std::size_t{1} << k);
     }
   }
 }
@@ -226,27 +231,59 @@ std::uint32_t SchedulerReplay::new_record() {
 
 std::uint32_t SchedulerReplay::take_record(std::uint32_t index) {
   const trace::JobRecord& job = jobs_[index];
-  auto& free = free_recs_[spill_class(job.gpus)];
   std::uint32_t id;
-  if (!free.empty()) {
-    id = free.back();
-    free.pop_back();
+  if (!free_recs_.empty()) {
+    id = free_recs_.back();
+    free_recs_.pop_back();
   } else {
-    // Wide classes were filled for every gang at arm, so only class 0 grows.
-    ACME_CHECK_MSG(&free == &free_recs_[0], "wide-gang record pool exhausted");
     id = new_record();
   }
+  // A free record holds no spilled buffer (stop_running returned it), so a
+  // plain reset frees nothing.
   JobRec& rec = recs_[id];
-  // Reset every field but the slice buffer, whose capacity is the point of
-  // the free-list class.
-  cluster::Allocation buffer = std::move(rec.alloc);
   rec = JobRec{};
-  rec.alloc = std::move(buffer);
   rec.job = index;
   rec.gpus = job.gpus;
   rec.cls = classify(job.type);
+  rec.spill = static_cast<std::uint8_t>(spill_class(job.gpus));
   rec_of_[index] = id;
   return id;
+}
+
+void SchedulerReplay::lend_slice_buffer(std::uint32_t r) {
+  JobRec& rec = recs_[r];
+  auto& pool = slice_pool_[rec.spill];
+  ACME_CHECK_MSG(!pool.empty(), "wide-gang slice buffer pool exhausted");
+  rec.alloc = std::move(pool.back());
+  pool.pop_back();
+}
+
+bool SchedulerReplay::place(cluster::ClusterState& part, std::uint32_t r) {
+  JobRec& rec = recs_[r];
+  if (rec.spill == 0)
+    return part.try_allocate_into(rec.gpus, config_.cpus_per_gpu, rec.alloc);
+  // Borrow only for a placement that will succeed: a queued gang's failed
+  // attempts never hold a buffer, so the pool bound counts running gangs.
+  if (!part.can_allocate(rec.gpus)) return false;
+  lend_slice_buffer(r);
+  ACME_CHECK(part.try_allocate_into(rec.gpus, config_.cpus_per_gpu, rec.alloc));
+  return true;
+}
+
+void SchedulerReplay::stop_running(std::uint32_t r) {
+  JobRec& rec = recs_[r];
+  (rec.on_reserved ? reserved_ : shared_).release(rec.alloc);
+  rec.alloc.clear();
+  if (rec.spill > 0) slice_pool_[rec.spill].push_back(std::move(rec.alloc));
+  rec.on_reserved = false;
+  capacity_freed_ = true;
+  running_pools_[rec.cls == QueueClass::kPretrain ? kPoolPretrain : kPoolBestEffort]
+      .erase(pool_links_, r);
+  if (rec.cls == QueueClass::kEvaluation) {
+    eval_gpus_in_use_ -= rec.gpus;
+    ACME_CHECK(eval_gpus_in_use_ >= 0);
+  }
+  --running_jobs_;
 }
 
 std::uint32_t SchedulerReplay::live_record(std::size_t index) const {
@@ -273,6 +310,9 @@ ReplayResult SchedulerReplay::finish_replay() {
   result.unstarted = queues_[0].size() + queues_[1].size() + queues_[2].size();
   result.jobs = std::move(jobs_);
   jobs_.clear();
+  // The sampler appended one sample per tick with doubling growth; a report
+  // keeps the timeline for its lifetime, so drop the unused tail.
+  result.occupancy.shrink_to_fit();
   // Stale records and links are harmless: arm_replay resets the pool.
   for (auto& queue : queues_) queue = common::IndexList{};
   return result;
@@ -339,24 +379,20 @@ bool SchedulerReplay::try_start(std::uint32_t r) {
   if (cls == QueueClass::kPretrain) {
     // Pretraining prefers its reservation, spilling to the shared partition
     // only when the reservation is exhausted; in preemptive mode it may
-    // evict best-effort work instead. The in-place allocations refill
-    // rec.alloc's own slice buffer, so restarts never touch the heap.
-    if (reserved_.try_allocate_into(rec.gpus, config_.cpus_per_gpu, rec.alloc)) {
+    // evict best-effort work instead. Placements fill the record's inline
+    // slices or a pooled pre-spilled buffer, so starts never touch the heap.
+    if (place(reserved_, r)) {
       rec.on_reserved = true;
-    } else if (shared_.try_allocate_into(rec.gpus, config_.cpus_per_gpu,
-                                         rec.alloc)) {
+    } else if (place(shared_, r)) {
       rec.on_reserved = false;
     } else if (config_.allow_preemption && preempt_for(rec.gpus)) {
-      ACME_CHECK_MSG(shared_.try_allocate_into(rec.gpus, config_.cpus_per_gpu,
-                                               rec.alloc),
-                     "preemption freed too little");
+      ACME_CHECK_MSG(place(shared_, r), "preemption freed too little");
       rec.on_reserved = false;
     } else {
       return false;
     }
   } else {
-    if (!shared_.try_allocate_into(rec.gpus, config_.cpus_per_gpu, rec.alloc))
-      return false;
+    if (!place(shared_, r)) return false;
     rec.on_reserved = false;
   }
 
@@ -382,20 +418,9 @@ bool SchedulerReplay::try_start(std::uint32_t r) {
 void SchedulerReplay::evict(std::uint32_t r, double rollback_cap,
                             double overhead_seconds, bool failure_kill) {
   JobRec& rec = recs_[r];
-  const QueueClass cls = rec.cls;
   engine_->cancel(rec.completion);
   rec.completion = {};
-  (rec.on_reserved ? reserved_ : shared_).release(rec.alloc);
-  rec.alloc.clear();
-  rec.on_reserved = false;
-  capacity_freed_ = true;
-  running_pools_[cls == QueueClass::kPretrain ? kPoolPretrain : kPoolBestEffort]
-      .erase(pool_links_, r);
-  if (cls == QueueClass::kEvaluation) {
-    eval_gpus_in_use_ -= rec.gpus;
-    ACME_CHECK(eval_gpus_in_use_ >= 0);
-  }
-  --running_jobs_;
+  stop_running(r);
   const double elapsed = engine_->now() - rec.started_at;
   const double lost = std::min(elapsed, rollback_cap);
   rec.progress_done += elapsed - lost;
@@ -411,7 +436,7 @@ void SchedulerReplay::evict(std::uint32_t r, double rollback_cap,
   }
   rec.extra_overhead += overhead_seconds;
   rec.waiting_since = engine_->now();
-  queues_[static_cast<int>(cls)].push_back(queue_links_, r);
+  queues_[static_cast<int>(rec.cls)].push_back(queue_links_, r);
   if (obs::enabled()) (failure_kill ? kills_counter() : preemptions_counter()).inc();
 }
 
@@ -591,10 +616,10 @@ void SchedulerReplay::save(snap::SnapshotWriter& w) const {
   ACME_CHECK_MSG(result_ != nullptr,
                  "SchedulerReplay::save outside an active replay");
   w.begin_section("sched.replay");
-  // The trace rides in the snapshot verbatim: JobRecord is a flat POD (tags
-  // are interned u32 ids), so a bulk copy both avoids re-synthesizing a
-  // possibly million-row trace on restore and freezes queue_delay, the one
-  // trace field the replay mutates.
+  // The trace rides in the snapshot verbatim: JobRecord is a flat POD with
+  // no padding (tags are interned u16 ids), so a bulk copy both avoids
+  // re-synthesizing a possibly million-row trace on restore and freezes
+  // queue_delay, the one trace field the replay mutates.
   static_assert(std::is_trivially_copyable_v<trace::JobRecord>);
   w.reserve(jobs_.size() * (sizeof(trace::JobRecord) + 16) + (1u << 16));
   w.write_pod_vec(jobs_);
@@ -663,7 +688,7 @@ void SchedulerReplay::restore_replay(snap::SnapshotReader& r) {
                  "restore_replay into a scheduler with an active replay");
   r.enter_section("sched.replay");
   r.read_pod_vec(jobs_);
-  // The same engine bound, record pool, wide-gang pre-spill and scratch
+  // The same engine bound, record pool, slice-buffer pre-spill and scratch
   // reservation arm_replay establishes, so the restored drain is as
   // allocation-free as a fresh one. Sized before the rebinds below so any
   // engine slot-vector growth happens while the slots are still
@@ -692,6 +717,8 @@ void SchedulerReplay::restore_replay(snap::SnapshotReader& r) {
     rec.waiting_since = pod.waiting_since;
     rec.on_reserved = (pod.flags & 1u) != 0;
     rec.delay_recorded = (pod.flags & 2u) != 0;
+    // A running wide gang gets its pooled buffer back before its slices.
+    if (pod.slice_count > 0 && rec.spill > 0) lend_slice_buffer(id);
     for (std::uint32_t j = 0; j < pod.slice_count; ++j) {
       ACME_CHECK(slice_cursor < slices.size());
       const SlicePod& sl = slices[slice_cursor++];
@@ -735,22 +762,12 @@ void SchedulerReplay::restore_replay(snap::SnapshotReader& r) {
 }
 
 void SchedulerReplay::on_complete(std::uint32_t r) {
+  stop_running(r);
+  // The job is done: its record goes back to the free list.
   JobRec& rec = recs_[r];
-  (rec.on_reserved ? reserved_ : shared_).release(rec.alloc);
-  rec.alloc.clear();
-  capacity_freed_ = true;
-  const QueueClass cls = rec.cls;
-  running_pools_[cls == QueueClass::kPretrain ? kPoolPretrain : kPoolBestEffort]
-      .erase(pool_links_, r);
-  if (cls == QueueClass::kEvaluation) {
-    eval_gpus_in_use_ -= rec.gpus;
-    ACME_CHECK(eval_gpus_in_use_ >= 0);
-  }
-  --running_jobs_;
-  // The job is done: its record goes back to the free list of its class.
   rec_of_[rec.job] = kNoRecord;
   rec.job = kNoRecord;
-  free_recs_[spill_class(rec.gpus)].push_back(r);
+  free_recs_.push_back(r);
   try_dispatch();
 }
 

@@ -176,6 +176,11 @@ class SchedulerReplay {
   bool allocation_on_reserved(std::size_t index) const {
     return recs_[live_record(index)].on_reserved;
   }
+  // Test introspection: pre-spilled slice buffers of spill class k (k > 0)
+  // not lent to a running gang right now.
+  std::size_t free_slice_buffers(std::size_t k) const {
+    return slice_pool_[k].size();
+  }
 
   // --- Snapshot support (acme::snap, DESIGN.md §12). Valid only between
   // begin_replay and finish_replay. ---
@@ -208,9 +213,9 @@ class SchedulerReplay {
 
   // Shared tail of begin_replay once jobs_ holds the active trace.
   void arm_replay(double sample_interval);
-  // Sizes the engine for jobs_, registers the submission lane's handler and
-  // resets the record pool, pre-spilling the wide-gang records (arm and
-  // restore share it).
+  // Sizes the engine for jobs_, registers the submission lane's handler,
+  // resets the record pool and pre-spills the wide-gang slice buffers (arm
+  // and restore share it).
   void reset_runtime_state();
   // Appends a fresh record (and its link ids) to the pool.
   std::uint32_t new_record();
@@ -218,9 +223,18 @@ class SchedulerReplay {
   std::uint32_t take_record(std::uint32_t index);
   // Record id of a queued or running job; ACME_CHECKs that it is live.
   std::uint32_t live_record(std::size_t index) const;
-  // Free-list class of a gang of `gpus`: 0 when its slices fit the
-  // Allocation's inline buffer, else k for records pre-spilled to 2^k slices.
+  // Slice-buffer class of a gang of `gpus`: 0 when its slices fit the
+  // Allocation's inline buffer, else k for a gang of (2^(k-1), 2^k] nodes,
+  // which runs in a pooled buffer pre-spilled to 2^k slices.
   std::size_t spill_class(int gpus) const;
+  // Places the record's gang on `part`; a wide gang borrows a pooled slice
+  // buffer of its class for as long as it runs.
+  bool place(cluster::ClusterState& part, std::uint32_t rec);
+  // Moves a pooled buffer of the record's class into its (empty) allocation.
+  void lend_slice_buffer(std::uint32_t rec);
+  // Takes a running record off its nodes and running pool and returns its
+  // slice buffer (completion and eviction share it).
+  void stop_running(std::uint32_t rec);
   void sample_occupancy(double interval);
   void on_submit(std::uint32_t index);
   void try_dispatch();
@@ -262,16 +276,19 @@ class SchedulerReplay {
     std::uint32_t job = kNoRecord;  // owning trace index; kNoRecord = free
     int gpus = 0;
     QueueClass cls = QueueClass::kNormal;
+    std::uint8_t spill = 0;       // spill_class(gpus)
     bool on_reserved = false;
     bool delay_recorded = false;  // first-start delay already captured
   };
   std::vector<std::uint32_t> rec_of_;  // trace index -> record id or kNoRecord
   std::vector<JobRec> recs_;           // reserved to jobs_.size(), never moves
-  // LIFO free lists by spill_class(). Class-k lists (k > 0) are filled at arm
-  // with one record per gang of that class, pre-spilled so starting a wide
-  // gang never allocates mid-drain; class 0 grows on demand.
+  std::vector<std::uint32_t> free_recs_;  // LIFO; the pool grows on demand
+  // Pre-spilled slice buffers by spill class, filled at arm so starting a
+  // wide gang never allocates mid-drain. Only running gangs hold one, and a
+  // running class-k gang holds at least m_k = 2^(k-1) * gpus_per_node + 1
+  // GPUs, so class k keeps min(gangs of class k, total GPUs / m_k) buffers.
   static constexpr std::size_t kSpillClasses = 32;  // 2^31 slices at most
-  std::array<std::vector<std::uint32_t>, kSpillClasses> free_recs_;
+  std::array<std::vector<cluster::Allocation>, kSpillClasses> slice_pool_;
   ReplayResult result_storage_;
   ReplayResult* result_ = nullptr;
   double replay_start_ = 0;            // engine time at begin_replay

@@ -39,7 +39,8 @@
 namespace acme::snap {
 
 inline constexpr char kMagic[8] = {'A', 'C', 'M', 'E', 'S', 'N', 'A', 'P'};
-inline constexpr std::uint32_t kFormatVersion = 2;
+// Version 3: the scheduler section's trace array holds 40-byte JobRecords.
+inline constexpr std::uint32_t kFormatVersion = 3;
 
 // CRC-32C (Castagnoli polynomial, reflected). Uses the SSE4.2 CRC32
 // instruction when the CPU has it (snapshots CRC megabytes per section);

@@ -1,5 +1,7 @@
 #include "trace/analysis.h"
 
+#include <algorithm>
+
 namespace acme::trace {
 
 std::map<WorkloadType, Share> type_shares(const Trace& trace) {
@@ -51,9 +53,15 @@ common::SampleStats durations_of(const Trace& trace, WorkloadType type) {
 }
 
 common::SampleStats queue_delays_of(const Trace& trace, WorkloadType type) {
+  // World reports keep these samples for their lifetime: count first so the
+  // buffer is exact-sized instead of up to 2x over after push_back growth.
+  const auto match = [type](const JobRecord& j) {
+    return j.is_gpu_job() && j.type == type;
+  };
   common::SampleStats s;
+  s.reserve(static_cast<std::size_t>(std::count_if(trace.begin(), trace.end(), match)));
   for (const auto& j : trace)
-    if (j.is_gpu_job() && j.type == type) s.add(j.queue_delay);
+    if (match(j)) s.add(j.queue_delay);
   return s;
 }
 

@@ -1,6 +1,7 @@
 #include "trace/job.h"
 
 #include <deque>
+#include <limits>
 #include <mutex>
 
 #include "common/check.h"
@@ -26,16 +27,18 @@ TagTable& table() {
 
 }  // namespace
 
-std::uint32_t intern_model_tag(std::string_view tag) {
+ModelTagId intern_model_tag(std::string_view tag) {
   auto& t = table();
   const std::lock_guard<std::mutex> lock(t.mu);
   for (std::size_t i = 0; i < t.names.size(); ++i)
-    if (t.names[i] == tag) return static_cast<std::uint32_t>(i);
+    if (t.names[i] == tag) return static_cast<ModelTagId>(i);
+  ACME_CHECK_MSG(t.names.size() <= std::numeric_limits<ModelTagId>::max(),
+                 "model-tag table full: JobRecord ids are 16-bit");
   t.names.emplace_back(tag);
-  return static_cast<std::uint32_t>(t.names.size() - 1);
+  return static_cast<ModelTagId>(t.names.size() - 1);
 }
 
-const std::string& model_tag_name(std::uint32_t id) {
+const std::string& model_tag_name(ModelTagId id) {
   auto& t = table();
   const std::lock_guard<std::mutex> lock(t.mu);
   ACME_CHECK_MSG(id < t.names.size(), "unknown model-tag id");

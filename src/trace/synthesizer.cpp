@@ -101,7 +101,7 @@ Trace TraceSynthesizer::generate() const {
     type_weights.push_back(weight);
   }
 
-  std::uint64_t next_id = 1;
+  std::uint32_t next_id = 1;
 
   if (campaigns_enabled) {
     // Pretraining campaigns: carve the campaign GPU budget into concurrent
@@ -115,7 +115,7 @@ Trace TraceSynthesizer::generate() const {
                                                  40 * common::kMinute);
     for (int gpus : profile_.pretrain_campaign_slots) {
       double tc = camp_rng.uniform(0.0, 6 * kHour);  // staggered campaign start
-      const std::uint32_t tag = gpus >= 1024   ? kModelTag123B
+      const ModelTagId tag = gpus >= 1024   ? kModelTag123B
                               : gpus >= 256 ? kModelTag104B
                                             : kModelTag7B;
       while (tc < horizon) {

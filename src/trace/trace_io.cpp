@@ -1,6 +1,9 @@
 #include "trace/trace_io.h"
 
+#include <cmath>
+#include <cstdint>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 
@@ -23,6 +26,44 @@ JobStatus status_from_string(const std::string& s) {
   throw std::invalid_argument("unknown job status: " + s);
 }
 
+std::uint32_t id_from_string(const std::string& s) {
+  const unsigned long long id = std::stoull(s);
+  // stoull negates a leading '-', so "-1" lands here as 2^64 - 1 too.
+  if (s.find('-') != std::string::npos ||
+      id > std::numeric_limits<std::uint32_t>::max())
+    throw std::invalid_argument("id " + s + " does not fit in 32 bits");
+  return static_cast<std::uint32_t>(id);
+}
+
+int count_from_string(const std::string& s, const char* field) {
+  const int n = std::stoi(s);
+  if (n < 0) throw std::invalid_argument(std::string(field) + " " + s + " is negative");
+  return n;
+}
+
+double seconds_from_string(const std::string& s, const char* field) {
+  const double t = std::stod(s);
+  if (!std::isfinite(t) || t < 0)
+    throw std::invalid_argument(std::string(field) + " " + s +
+                                " is not a finite non-negative time");
+  return t;
+}
+
+JobRecord job_from_row(const std::vector<std::string>& row) {
+  if (row.size() != 9) throw std::invalid_argument("bad trace row width");
+  JobRecord j;
+  j.id = id_from_string(row[0]);
+  j.type = type_from_string(row[1]);
+  j.status = status_from_string(row[2]);
+  j.gpus = count_from_string(row[3], "gpus");
+  j.cpus = count_from_string(row[4], "cpus");
+  j.submit_time = seconds_from_string(row[5], "submit_time");
+  j.duration = seconds_from_string(row[6], "duration");
+  j.queue_delay = seconds_from_string(row[7], "queue_delay");
+  j.set_model_tag(row[8]);
+  return j;
+}
+
 }  // namespace
 
 void write_csv(std::ostream& out, const Trace& trace) {
@@ -42,19 +83,14 @@ Trace read_csv(std::istream& in) {
   std::vector<std::string> row;
   ACME_CHECK_MSG(reader.read_row(row) && row.size() == 9, "missing trace header");
   Trace trace;
-  while (reader.read_row(row)) {
-    if (row.size() != 9) throw std::invalid_argument("bad trace row width");
-    JobRecord j;
-    j.id = std::stoull(row[0]);
-    j.type = type_from_string(row[1]);
-    j.status = status_from_string(row[2]);
-    j.gpus = std::stoi(row[3]);
-    j.cpus = std::stoi(row[4]);
-    j.submit_time = std::stod(row[5]);
-    j.duration = std::stod(row[6]);
-    j.queue_delay = std::stod(row[7]);
-    j.set_model_tag(row[8]);
-    trace.push_back(std::move(j));
+  // Rows are numbered from 1 after the header; a bad field names its row.
+  for (std::size_t row_no = 1; reader.read_row(row); ++row_no) {
+    try {
+      trace.push_back(job_from_row(row));
+    } catch (const std::logic_error& e) {  // stoi/stod errors and ours
+      throw std::invalid_argument("trace row " + std::to_string(row_no) + ": " +
+                                  e.what());
+    }
   }
   return trace;
 }

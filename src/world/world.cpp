@@ -18,7 +18,7 @@ namespace {
 
 // Sharded-state size of the victim's model, keyed off the synthesizer's
 // model tags; unknown tags fall back to the 7B sizing.
-double params_for_tag(std::uint32_t tag_id) {
+double params_for_tag(trace::ModelTagId tag_id) {
   switch (tag_id) {
     case trace::kModelTag123B:
       return parallel::llm_123b().params();

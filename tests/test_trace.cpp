@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/rng.h"
@@ -242,6 +244,70 @@ TEST(TraceIo, CsvRoundTrip) {
 TEST(TraceIo, RejectsGarbage) {
   std::stringstream buf("not,a,trace\n1,2,3\n");
   EXPECT_THROW(read_csv(buf), std::exception);
+}
+
+constexpr const char* kCsvHeader =
+    "id,type,status,gpus,cpus,submit_time,duration,queue_delay,model_tag\n";
+
+// A well-formed first row, then `row` as data row 2: read_csv must reject it
+// with an error that names row 2 and the offending field.
+void expect_row_rejected(const std::string& row, const std::string& field) {
+  SCOPED_TRACE(row);
+  std::stringstream buf(std::string(kCsvHeader) +
+                        "1,Pretrain,Completed,8,96,0,60,0,llm-7b\n" + row + "\n");
+  try {
+    read_csv(buf);
+    ADD_FAILURE() << "row accepted";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("trace row 2: "), std::string::npos) << what;
+    EXPECT_NE(what.find(field), std::string::npos) << what;
+  }
+}
+
+TEST(TraceIo, RejectsIdsThatDoNotFitIn32Bits) {
+  expect_row_rejected("4294967296,SFT,Completed,1,12,0,60,0,", "id");
+  expect_row_rejected("-1,SFT,Completed,1,12,0,60,0,", "id");
+}
+
+TEST(TraceIo, RejectsNegativeResourceCounts) {
+  // A negative GPU count would otherwise turn the row into a CPU job.
+  expect_row_rejected("2,SFT,Completed,-8,12,0,60,0,", "gpus");
+  expect_row_rejected("2,SFT,Completed,8,-12,0,60,0,", "cpus");
+}
+
+TEST(TraceIo, RejectsNonFiniteOrNegativeTimes) {
+  for (const char* bad : {"nan", "inf", "-5"}) {
+    const std::string v = bad;
+    expect_row_rejected("2,SFT,Completed,8,96," + v + ",60,0,", "submit_time");
+    expect_row_rejected("2,SFT,Completed,8,96,0," + v + ",0,", "duration");
+    expect_row_rejected("2,SFT,Completed,8,96,0,60," + v + ",", "queue_delay");
+  }
+}
+
+TEST(TraceIo, LargestIdRoundTrips) {
+  JobRecord job;
+  job.id = 4294967295u;
+  job.type = WorkloadType::kSFT;
+  job.gpus = 8;
+  job.duration = 60;
+  std::stringstream buf;
+  write_csv(buf, {job});
+  const Trace back = read_csv(buf);
+  ASSERT_EQ(back.size(), 1u);
+  EXPECT_EQ(back[0].id, 4294967295u);
+}
+
+// --- Analysis ---
+
+TEST(Analysis, QueueDelaysOfIsExactSized) {
+  // World reports keep these samples for their lifetime: no growth slack.
+  const Trace trace = seren_trace();
+  for (WorkloadType type : kAllWorkloadTypes) {
+    const common::SampleStats s = queue_delays_of(trace, type);
+    EXPECT_EQ(s.values().capacity(), s.count()) << to_string(type);
+  }
+  EXPECT_GT(queue_delays_of(trace, WorkloadType::kEvaluation).count(), 0u);
 }
 
 // --- Comparison datacenters (Table 2, Fig 2) ---
