@@ -158,10 +158,10 @@ int main(int argc, char** argv) {
   }
 
   // Allocation gate: a restored drain must be as allocation-free as a fresh
-  // one (restore re-reserves the engine, the record pool, the wide-gang
-  // slice buffers and the kill-routing scratch). The occupancy timeline
-  // grows with the makespan, so sampling is off for the bracket, as in
-  // bench_hyperscale; sampling reads state and never changes the replay.
+  // one (restore re-reserves the engine, the record pool and the
+  // kill-routing scratch). The occupancy timeline grows with the makespan,
+  // so sampling is off for the bracket, as in bench_hyperscale; sampling
+  // reads state and never changes the replay.
   std::uint64_t restored_drain_allocs = 0;
   {
     world::ScenarioSpec gated = spec;

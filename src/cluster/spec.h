@@ -51,7 +51,6 @@ struct ClusterSpec {
   DomainShape topology;
 
   int total_gpus() const { return node_count * node.gpus; }
-  int total_cpus() const { return node_count * node.cpus; }
 };
 
 // Seren: 286 nodes, 1 TB host memory, 1x200 Gb/s, Slurm. 2,288 GPUs.

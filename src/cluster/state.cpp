@@ -15,14 +15,13 @@ ClusterState::ClusterState(const ClusterSpec& spec) : spec_(spec) {
     NodeState n;
     n.id = i;
     n.gpus_total = n.gpus_free = spec.node.gpus;
-    n.cpus_total = n.cpus_free = spec.node.cpus;
-    n.host_mem_total_gb = n.host_mem_free_gb = spec.node.host_memory_gb;
     nodes_.push_back(n);
     bucket_insert(n);
     total_gpus_ += n.gpus_total;
     free_gpus_healthy_ += n.gpus_free;
     free_gpus_all_ += n.gpus_free;
   }
+  gang_next_.assign(nodes_.size(), -1);
 }
 
 void ClusterState::bucket_insert(const NodeState& n) {
@@ -48,67 +47,72 @@ bool ClusterState::can_allocate(int gpus) const {
   return false;
 }
 
-std::optional<Allocation> ClusterState::try_allocate(int gpus, int cpus_per_gpu) {
-  Allocation alloc;
-  if (!try_allocate_into(gpus, cpus_per_gpu, alloc)) return std::nullopt;
-  return alloc;
+void ClusterState::take(NodeId id, int gpus) {
+  auto& n = nodes_[static_cast<std::size_t>(id)];
+  bucket_erase(n);
+  n.gpus_free -= gpus;
+  bucket_insert(n);
+  if (!n.cordoned) free_gpus_healthy_ -= gpus;
+  free_gpus_all_ -= gpus;
 }
 
-bool ClusterState::try_allocate_into(int gpus, int cpus_per_gpu,
-                                     Allocation& out) {
+std::optional<Allocation> ClusterState::try_allocate(int gpus) {
   ACME_CHECK(gpus > 0);
-  out.clear();
-  if (!can_allocate(gpus)) return false;
+  if (!can_allocate(gpus)) return std::nullopt;
   const int per_node = spec_.node.gpus;
+  Allocation alloc;
+  alloc.gpus = gpus;
 
   if (gpus >= per_node) {
-    const int full_nodes = gpus / per_node;
-    const int remainder = gpus % per_node;
+    // Ascending empty node ids, the remainder node last, each linked to the
+    // one after it.
     const auto& empties = buckets_[static_cast<std::size_t>(per_node)];
-    // Ascending node id, like the std::set buckets this replaces.
     std::size_t id = empties.first();
-    for (int i = 0; i < full_nodes; ++i, id = empties.next(id))
-      out.slices.push_back(
-          {static_cast<NodeId>(id), per_node, per_node * cpus_per_gpu});
-    if (remainder)
-      out.slices.push_back(
-          {static_cast<NodeId>(id), remainder, remainder * cpus_per_gpu});
+    alloc.first = static_cast<NodeId>(id);
+    NodeId prev = -1;
+    for (int left = gpus; left > 0; left -= per_node) {
+      const std::size_t next = empties.next(id);
+      const auto node = static_cast<NodeId>(id);
+      take(node, std::min(left, per_node));
+      if (prev >= 0) gang_next_[static_cast<std::size_t>(prev)] = node;
+      prev = node;
+      id = next;
+    }
   } else {
     // Best fit: the fullest node (smallest free count >= gpus).
     for (int k = gpus; k <= per_node; ++k) {
       const auto& bucket = buckets_[static_cast<std::size_t>(k)];
       if (!bucket.empty()) {
-        out.slices.push_back(
-            {static_cast<NodeId>(bucket.first()), gpus, gpus * cpus_per_gpu});
+        alloc.first = static_cast<NodeId>(bucket.first());
+        take(alloc.first, gpus);
         break;
       }
     }
   }
-
-  for (const auto& s : out.slices) {
-    auto& n = nodes_[static_cast<std::size_t>(s.node)];
-    ACME_CHECK(n.gpus_free >= s.gpus);
-    bucket_erase(n);
-    n.gpus_free -= s.gpus;
-    n.cpus_free = std::max(0, n.cpus_free - s.cpus);
-    bucket_insert(n);
-    if (!n.cordoned) free_gpus_healthy_ -= s.gpus;
-    free_gpus_all_ -= s.gpus;
-  }
-  return true;
+  return alloc;
 }
 
 void ClusterState::release(const Allocation& alloc) {
-  for (const auto& s : alloc.slices) {
-    auto& n = nodes_.at(static_cast<std::size_t>(s.node));
-    ACME_CHECK_MSG(n.gpus_free + s.gpus <= n.gpus_total, "double release of GPUs");
-    bucket_erase(n);
-    n.gpus_free += s.gpus;
-    n.cpus_free = std::min(n.cpus_total, n.cpus_free + s.cpus);
-    bucket_insert(n);
-    if (!n.cordoned) free_gpus_healthy_ += s.gpus;
-    free_gpus_all_ += s.gpus;
+  ACME_CHECK(alloc.first >= 0 && alloc.first < node_count());
+  for_each_slice(alloc, [this](NodeId id, int gpus) {
+    const NodeState& n = nodes_[static_cast<std::size_t>(id)];
+    ACME_CHECK_MSG(n.gpus_free + gpus <= n.gpus_total, "double release of GPUs");
+    take(id, -gpus);
+    gang_next_[static_cast<std::size_t>(id)] = -1;
+  });
+}
+
+bool ClusterState::chain_matches(const Allocation& alloc) const {
+  if (alloc.first < 0 || alloc.first >= node_count() || alloc.gpus <= 0)
+    return false;
+  const int per_node = spec_.node.gpus;
+  const int nodes = (alloc.gpus + per_node - 1) / per_node;
+  NodeId node = alloc.first;
+  for (int i = 1; i < nodes; ++i) {
+    node = gang_next_[static_cast<std::size_t>(node)];
+    if (node < 0) return false;
   }
+  return gang_next_[static_cast<std::size_t>(node)] < 0;
 }
 
 void ClusterState::cordon(NodeId id) {
@@ -129,28 +133,16 @@ void ClusterState::uncordon(NodeId id) {
   free_gpus_healthy_ += n.gpus_free;
 }
 
-void ClusterState::cordoned_nodes(std::vector<NodeId>& out) const {
-  out.clear();
-  if (cordoned_count_ == 0) return;  // common case: skip the node scan
-  out.reserve(static_cast<std::size_t>(cordoned_count_));
-  for (const auto& n : nodes_)
-    if (n.cordoned) out.push_back(n.id);
-}
-
-void ClusterState::healthy_idle_nodes(std::vector<NodeId>& out) const {
-  out.clear();
-  buckets_[static_cast<std::size_t>(spec_.node.gpus)].append_to(out);
-}
-
 std::vector<NodeId> ClusterState::cordoned_nodes() const {
   std::vector<NodeId> out;
-  cordoned_nodes(out);
+  for (const auto& n : nodes_)
+    if (n.cordoned) out.push_back(n.id);
   return out;
 }
 
 std::vector<NodeId> ClusterState::healthy_idle_nodes() const {
   std::vector<NodeId> out;
-  healthy_idle_nodes(out);
+  buckets_[static_cast<std::size_t>(spec_.node.gpus)].append_to(out);
   return out;
 }
 
@@ -159,9 +151,8 @@ void ClusterState::save(snap::SnapshotWriter& w) const {
   w.write_u64(static_cast<std::uint64_t>(nodes_.size()));
   for (const NodeState& n : nodes_) {
     w.write_i64(n.gpus_free);
-    w.write_i64(n.cpus_free);
-    w.write_f64(n.host_mem_free_gb);
     w.write_bool(n.cordoned);
+    w.write_i64(gang_next_[static_cast<std::size_t>(n.id)]);
   }
   w.end_section();
 }
@@ -177,12 +168,15 @@ void ClusterState::restore(snap::SnapshotReader& r) {
   free_gpus_all_ = 0;
   cordoned_count_ = 0;
   for (NodeState& n : nodes_) {
-    n.gpus_free = static_cast<int>(r.read_i64());
-    n.cpus_free = static_cast<int>(r.read_i64());
-    n.host_mem_free_gb = r.read_f64();
+    const std::int64_t free = r.read_i64();
     n.cordoned = r.read_bool();
-    ACME_CHECK_MSG(n.gpus_free >= 0 && n.gpus_free <= n.gpus_total,
+    const std::int64_t link = r.read_i64();
+    ACME_CHECK_MSG(free >= 0 && free <= n.gpus_total,
                    "cluster snapshot free-GPU count out of range");
+    ACME_CHECK_MSG(link >= -1 && link < static_cast<std::int64_t>(nodes_.size()),
+                   "cluster snapshot gang link out of range");
+    n.gpus_free = static_cast<int>(free);
+    gang_next_[static_cast<std::size_t>(n.id)] = static_cast<NodeId>(link);
     bucket_insert(n);  // skips cordoned nodes, like the constructor
     if (!n.cordoned) free_gpus_healthy_ += n.gpus_free;
     free_gpus_all_ += n.gpus_free;

@@ -1,5 +1,5 @@
-// Runtime resource ledger for a cluster: per-node GPU/CPU occupancy and
-// health (cordoned nodes are excluded from placement). The scheduler and the
+// Runtime resource ledger for a cluster: per-node GPU occupancy and health
+// (cordoned nodes are excluded from placement). The scheduler and the
 // recovery toolkit both operate on this state.
 //
 // Placement queries are hot (the six-month replay performs millions of
@@ -16,7 +16,6 @@
 
 #include "cluster/spec.h"
 #include "common/index_bitset.h"
-#include "common/small_vec.h"
 
 namespace acme::snap {
 class SnapshotWriter;
@@ -31,34 +30,17 @@ struct NodeState {
   NodeId id = 0;
   int gpus_total = 8;
   int gpus_free = 8;
-  int cpus_total = 128;
-  int cpus_free = 128;
-  double host_mem_total_gb = 1024.0;
-  double host_mem_free_gb = 1024.0;
   bool cordoned = false;
-
-  int gpus_used() const { return gpus_total - gpus_free; }
 };
 
-// A placement: which nodes and how many GPUs on each. The two-slice inline
-// capacity covers every sub-node and small-gang job without touching the
-// heap; only large pretraining gangs (3+ nodes, rare relative to the event
-// rate) spill.
+// A placement: the gang's first node and its GPU count. A gang takes only
+// empty nodes, so no node belongs to two running gangs, and the ledger
+// threads a gang's further nodes through one per-node link. A placement
+// therefore owns no memory; ClusterState::for_each_slice walks it.
 struct Allocation {
-  struct Slice {
-    NodeId node;
-    int gpus;
-    int cpus;
-  };
-  common::SmallVec<Slice, 2> slices;
-  // Empties the slice list; keeps any spilled capacity for reuse.
-  void clear() { slices.clear(); }
-  int total_gpus() const {
-    int n = 0;
-    for (const auto& s : slices) n += s.gpus;
-    return n;
-  }
-  bool empty() const { return slices.empty(); }
+  NodeId first = -1;
+  int gpus = 0;
+  bool empty() const { return first < 0; }
 };
 
 class ClusterState {
@@ -81,18 +63,32 @@ class ClusterState {
   // O(1) feasibility check for try_allocate.
   bool can_allocate(int gpus) const;
 
-  // Tries to place `gpus` GPUs (with cpus_per_gpu CPUs each). Multi-node jobs
-  // are placed in whole-node units (gang scheduling, as pretraining
-  // requires); sub-node jobs best-fit onto the fullest node that still has
-  // room, keeping whole nodes free for gangs. Returns nullopt on failure.
-  std::optional<Allocation> try_allocate(int gpus, int cpus_per_gpu = 12);
-  // In-place variant: refills `out` (cleared first) instead of constructing a
-  // fresh Allocation, so a caller-owned slice buffer keeps its spilled
-  // capacity across restarts. Returns false (out left empty) on failure.
-  bool try_allocate_into(int gpus, int cpus_per_gpu, Allocation& out);
+  // Tries to place `gpus` GPUs. Multi-node jobs are placed in whole-node
+  // units (gang scheduling, as pretraining requires) on the lowest-id empty
+  // nodes, the remainder on the next empty node; sub-node jobs best-fit onto
+  // the fullest node that still has room, keeping whole nodes free for gangs.
+  // Returns nullopt on failure.
+  std::optional<Allocation> try_allocate(int gpus);
 
   // Releases a previous allocation. Checks double-free.
   void release(const Allocation& alloc);
+
+  // Calls fn(node, gpus) for each node of the placement, first to last: whole
+  // nodes in ascending id, then a gang's remainder node.
+  template <typename Fn>
+  void for_each_slice(const Allocation& alloc, Fn&& fn) const {
+    NodeId node = alloc.first;
+    for (int left = alloc.gpus; left > 0;) {
+      const int gpus = left < spec_.node.gpus ? left : spec_.node.gpus;
+      const NodeId next = gang_next_[static_cast<std::size_t>(node)];
+      fn(node, gpus);  // may reset node's link (release does)
+      left -= gpus;
+      node = next;
+    }
+  }
+  // True when `alloc` names an in-range first node whose link chain has
+  // exactly the nodes its GPU count needs (snapshot restore checks it).
+  bool chain_matches(const Allocation& alloc) const;
 
   void cordon(NodeId id);
   void uncordon(NodeId id);
@@ -100,28 +96,28 @@ class ClusterState {
   int cordoned_count() const { return cordoned_count_; }
   std::vector<NodeId> cordoned_nodes() const;
   std::vector<NodeId> healthy_idle_nodes() const;
-  // Reuse-friendly variants for per-tick callers (recovery scans every few
-  // simulated minutes): `out` is cleared and refilled, so its capacity
-  // amortizes to zero allocations across ticks.
-  void cordoned_nodes(std::vector<NodeId>& out) const;
-  void healthy_idle_nodes(std::vector<NodeId>& out) const;
 
   // Snapshot support (acme::snap): serializes only the mutable per-node
-  // occupancy (free counts, cordon flags). restore() requires *this to be
-  // freshly constructed from the same ClusterSpec — totals are spec-derived
-  // — and rebuilds the free-GPU buckets and aggregate counters from the
-  // restored node states.
+  // state (free counts, cordon flags, gang links). restore() requires *this
+  // to be freshly constructed from the same ClusterSpec — totals are
+  // spec-derived — and rebuilds the free-GPU buckets and aggregate counters
+  // from the restored node states.
   void save(snap::SnapshotWriter& w) const;
   void restore(snap::SnapshotReader& r);
 
  private:
   void bucket_insert(const NodeState& n);
   void bucket_erase(const NodeState& n);
+  // Moves `gpus` GPUs of node `id` from free to used (negative: back).
+  void take(NodeId id, int gpus);
 
   ClusterSpec spec_;
   std::vector<NodeState> nodes_;
   // buckets_[k] = healthy nodes with exactly k free GPUs, ascending node id.
   std::vector<common::IndexBitSet> buckets_;
+  // gang_next_[n] = the node after n in its gang, or -1 (last node, sub-node
+  // placements, idle nodes).
+  std::vector<NodeId> gang_next_;
   int total_gpus_ = 0;
   int free_gpus_healthy_ = 0;
   int free_gpus_all_ = 0;

@@ -1,7 +1,6 @@
 #include "sched/scheduler.h"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <limits>
 #include <type_traits>
@@ -105,38 +104,18 @@ SchedulerReplay::QueueClass SchedulerReplay::classify(trace::WorkloadType type) 
   }
 }
 
-ReplayResult SchedulerReplay::replay(const trace::Trace& input,
-                                     double sample_interval) {
+ReplayResult SchedulerReplay::replay(trace::Trace input, double sample_interval) {
   // A reused single-silo instance restarts its private clock at zero: the
   // results are bit-identical to a fresh instance (same float arithmetic)
   // and the engine's event storage is recycled instead of regrown.
-  if (owned_engine_) owned_engine_->reset();
-  begin_replay(input, sample_interval);
-  engine_->run();
-  return finish_replay();
-}
-
-ReplayResult SchedulerReplay::replay(trace::Trace&& input,
-                                     double sample_interval) {
   if (owned_engine_) owned_engine_->reset();
   begin_replay(std::move(input), sample_interval);
   engine_->run();
   return finish_replay();
 }
 
-void SchedulerReplay::begin_replay(const trace::Trace& input,
-                                   double sample_interval) {
-  jobs_ = input;
-  arm_replay(sample_interval);
-}
-
-void SchedulerReplay::begin_replay(trace::Trace&& input,
-                                   double sample_interval) {
+void SchedulerReplay::begin_replay(trace::Trace input, double sample_interval) {
   jobs_ = std::move(input);
-  arm_replay(sample_interval);
-}
-
-void SchedulerReplay::arm_replay(double sample_interval) {
   ACME_OBS_SPAN_ARG("sched", "begin_replay", "jobs", std::to_string(jobs_.size()));
   for (auto& queue : queues_) queue = common::IndexList{};
   for (auto& pool : running_pools_) pool = common::IndexList{};
@@ -167,12 +146,6 @@ void SchedulerReplay::arm_replay(double sample_interval) {
   }
 }
 
-std::size_t SchedulerReplay::spill_class(int gpus) const {
-  const int per_node = std::max(1, spec_.node.gpus);
-  const auto nodes = static_cast<std::uint32_t>((gpus + per_node - 1) / per_node);
-  return nodes <= 2 ? 0 : static_cast<std::size_t>(std::bit_width(nodes - 1));
-}
-
 void SchedulerReplay::reset_runtime_state() {
   // Slot events: each running job keeps one completion live and holds at
   // least one GPU, so completions never outnumber the GPUs; +4 covers the
@@ -199,30 +172,11 @@ void SchedulerReplay::reset_runtime_state() {
   pool_links_.reserve(jobs_.size());
   free_recs_.clear();
   free_recs_.reserve(jobs_.size());
-  // Gangs wider than the slice buffer's inline capacity would spill on
-  // start; paying the spill here keeps the event loop allocation-free. A
-  // class-k gang holds at least m_k GPUs while it runs, so no more than
-  // total_gpus / m_k of them run at once, whatever is queued.
-  std::array<std::size_t, kSpillClasses> wide{};
-  for (const auto& job : jobs_)
-    if (job.is_gpu_job()) ++wide[spill_class(job.gpus)];
-  const std::uint64_t per_node = static_cast<std::uint64_t>(std::max(1, spec_.node.gpus));
-  for (std::size_t k = 1; k < kSpillClasses; ++k) {
-    const std::uint64_t min_gpus = (std::uint64_t{1} << (k - 1)) * per_node + 1;
-    const auto buffers = std::min<std::size_t>(wide[k], total_gpus / min_gpus);
-    auto& pool = slice_pool_[k];
-    pool.clear();
-    pool.reserve(buffers);
-    for (std::size_t n = 0; n < buffers; ++n) {
-      pool.emplace_back();
-      pool.back().slices.reserve(std::size_t{1} << k);
-    }
-  }
 }
 
 std::uint32_t SchedulerReplay::new_record() {
   // A record per GPU job at most: the reservation is never outgrown, so no
-  // record (or its slice buffer) ever moves.
+  // record ever moves.
   ACME_CHECK_MSG(recs_.size() < recs_.capacity(), "record pool outgrew its reservation");
   recs_.emplace_back();
   queue_links_.add();
@@ -238,43 +192,25 @@ std::uint32_t SchedulerReplay::take_record(std::uint32_t index) {
   } else {
     id = new_record();
   }
-  // A free record holds no spilled buffer (stop_running returned it), so a
-  // plain reset frees nothing.
   JobRec& rec = recs_[id];
   rec = JobRec{};
   rec.job = index;
   rec.gpus = job.gpus;
   rec.cls = classify(job.type);
-  rec.spill = static_cast<std::uint8_t>(spill_class(job.gpus));
   rec_of_[index] = id;
   return id;
 }
 
-void SchedulerReplay::lend_slice_buffer(std::uint32_t r) {
-  JobRec& rec = recs_[r];
-  auto& pool = slice_pool_[rec.spill];
-  ACME_CHECK_MSG(!pool.empty(), "wide-gang slice buffer pool exhausted");
-  rec.alloc = std::move(pool.back());
-  pool.pop_back();
-}
-
 bool SchedulerReplay::place(cluster::ClusterState& part, std::uint32_t r) {
-  JobRec& rec = recs_[r];
-  if (rec.spill == 0)
-    return part.try_allocate_into(rec.gpus, config_.cpus_per_gpu, rec.alloc);
-  // Borrow only for a placement that will succeed: a queued gang's failed
-  // attempts never hold a buffer, so the pool bound counts running gangs.
-  if (!part.can_allocate(rec.gpus)) return false;
-  lend_slice_buffer(r);
-  ACME_CHECK(part.try_allocate_into(rec.gpus, config_.cpus_per_gpu, rec.alloc));
-  return true;
+  const auto alloc = part.try_allocate(recs_[r].gpus);
+  if (alloc) recs_[r].alloc = *alloc;
+  return alloc.has_value();
 }
 
 void SchedulerReplay::stop_running(std::uint32_t r) {
   JobRec& rec = recs_[r];
   (rec.on_reserved ? reserved_ : shared_).release(rec.alloc);
-  rec.alloc.clear();
-  if (rec.spill > 0) slice_pool_[rec.spill].push_back(std::move(rec.alloc));
+  rec.alloc = {};
   rec.on_reserved = false;
   capacity_freed_ = true;
   running_pools_[rec.cls == QueueClass::kPretrain ? kPoolPretrain : kPoolBestEffort]
@@ -313,7 +249,7 @@ ReplayResult SchedulerReplay::finish_replay() {
   // The sampler appended one sample per tick with doubling growth; a report
   // keeps the timeline for its lifetime, so drop the unused tail.
   result.occupancy.shrink_to_fit();
-  // Stale records and links are harmless: arm_replay resets the pool.
+  // Stale records and links are harmless: begin_replay resets the pool.
   for (auto& queue : queues_) queue = common::IndexList{};
   return result;
 }
@@ -379,8 +315,7 @@ bool SchedulerReplay::try_start(std::uint32_t r) {
   if (cls == QueueClass::kPretrain) {
     // Pretraining prefers its reservation, spilling to the shared partition
     // only when the reservation is exhausted; in preemptive mode it may
-    // evict best-effort work instead. Placements fill the record's inline
-    // slices or a pooled pre-spilled buffer, so starts never touch the heap.
+    // evict best-effort work instead.
     if (place(reserved_, r)) {
       rec.on_reserved = true;
     } else if (place(shared_, r)) {
@@ -463,19 +398,14 @@ void SchedulerReplay::running_jobs_on_nodes(
     int first, int count, std::vector<std::size_t>& out) const {
   out.clear();
   const int last = first + count;
-  const int offset = reserved_.node_count();  // shared-partition global base
   for (std::size_t pool = 0; pool < 2; ++pool) {
     for (std::uint32_t r = running_pools_[pool].front();
          r != common::kIndexNpos; r = common::IndexList::next_of(pool_links_, r)) {
       const JobRec& rec = recs_[r];
       bool hit = false;
-      for (const auto& slice : rec.alloc.slices) {
-        const int node = slice.node + (rec.on_reserved ? 0 : offset);
-        if (node >= first && node < last) {
-          hit = true;
-          break;
-        }
-      }
+      for_each_node(rec, [&](int node, int) {
+        hit = hit || (node >= first && node < last);
+      });
       if (hit) out.push_back(rec.job);
     }
   }
@@ -593,8 +523,9 @@ void SchedulerReplay::try_dispatch() {
 namespace {
 
 // Live runtime record flattened for bulk serialization. The completion
-// handle travels as a raw u64; allocation slices are flattened into one side
-// array (slice_count says how many belong to each record).
+// handle travels as a raw u64; the allocation as its first node (-1: not
+// running), since its GPU count is the job's and its other nodes are links
+// in the partition ledger's section.
 struct RecPod {
   std::uint64_t completion;
   double started_at;
@@ -602,12 +533,7 @@ struct RecPod {
   double progress_done;
   double waiting_since;
   std::uint32_t flags;  // bit0 on_reserved, bit1 delay_recorded
-  std::uint32_t slice_count;
-};
-struct SlicePod {
-  std::int32_t node;
-  std::int32_t gpus;
-  std::int32_t cpus;
+  std::int32_t first_node;
 };
 
 }  // namespace
@@ -632,7 +558,6 @@ void SchedulerReplay::save(snap::SnapshotWriter& w) const {
     if (rec.job != kNoRecord) live_idx.push_back(rec.job);
   std::sort(live_idx.begin(), live_idx.end());
   std::vector<RecPod> live_pods;
-  std::vector<SlicePod> slices;
   live_pods.reserve(live_idx.size());
   for (const std::uint32_t i : live_idx) {
     const JobRec& rec = recs_[rec_of_[i]];
@@ -644,13 +569,10 @@ void SchedulerReplay::save(snap::SnapshotWriter& w) const {
                                static_cast<std::uint32_t>(
                                    (rec.on_reserved ? 1u : 0u) |
                                    (rec.delay_recorded ? 2u : 0u)),
-                               static_cast<std::uint32_t>(rec.alloc.slices.size())});
-    for (const auto& sl : rec.alloc.slices)
-      slices.push_back(SlicePod{sl.node, sl.gpus, sl.cpus});
+                               rec.alloc.first});
   }
   w.write_pod_vec(live_idx);
   w.write_pod_vec(live_pods);
-  w.write_pod_vec(slices);
   // Front-to-back member order of each list, as trace indices (FCFS order
   // is replay state: restore must rebuild it exactly).
   const auto write_order = [&](const common::IndexList& list,
@@ -688,8 +610,8 @@ void SchedulerReplay::restore_replay(snap::SnapshotReader& r) {
                  "restore_replay into a scheduler with an active replay");
   r.enter_section("sched.replay");
   r.read_pod_vec(jobs_);
-  // The same engine bound, record pool, slice-buffer pre-spill and scratch
-  // reservation arm_replay establishes, so the restored drain is as
+  // The same engine bound, record pool and scratch reservation
+  // begin_replay establishes, so the restored drain is as
   // allocation-free as a fresh one. Sized before the rebinds below so any
   // engine slot-vector growth happens while the slots are still
   // callback-free (partition GPU totals are fixed at construction, so they
@@ -698,12 +620,9 @@ void SchedulerReplay::restore_replay(snap::SnapshotReader& r) {
   reset_runtime_state();
   std::vector<std::uint32_t> live_idx;
   std::vector<RecPod> live_pods;
-  std::vector<SlicePod> slices;
   r.read_pod_vec(live_idx);
   r.read_pod_vec(live_pods);
-  r.read_pod_vec(slices);
   ACME_CHECK(live_idx.size() == live_pods.size());
-  std::size_t slice_cursor = 0;
   for (std::size_t k = 0; k < live_idx.size(); ++k) {
     const std::uint32_t i = live_idx[k];
     ACME_CHECK(i < jobs_.size() && rec_of_[i] == kNoRecord);
@@ -717,17 +636,11 @@ void SchedulerReplay::restore_replay(snap::SnapshotReader& r) {
     rec.waiting_since = pod.waiting_since;
     rec.on_reserved = (pod.flags & 1u) != 0;
     rec.delay_recorded = (pod.flags & 2u) != 0;
-    // A running wide gang gets its pooled buffer back before its slices.
-    if (pod.slice_count > 0 && rec.spill > 0) lend_slice_buffer(id);
-    for (std::uint32_t j = 0; j < pod.slice_count; ++j) {
-      ACME_CHECK(slice_cursor < slices.size());
-      const SlicePod& sl = slices[slice_cursor++];
-      rec.alloc.slices.push_back({sl.node, sl.gpus, sl.cpus});
-    }
+    ACME_CHECK_MSG(pod.first_node >= -1, "snapshot allocation node out of range");
+    if (pod.first_node >= 0) rec.alloc = {pod.first_node, rec.gpus};
     if (rec.completion.valid())
       engine_->rebind(rec.completion, [this, id] { on_complete(id); });
   }
-  ACME_CHECK(slice_cursor == slices.size());
   const auto read_list = [&](common::IndexList& list, common::IndexLinks& links) {
     list = common::IndexList{};
     std::vector<std::uint32_t> order;
@@ -755,6 +668,20 @@ void SchedulerReplay::restore_replay(snap::SnapshotReader& r) {
   r.leave_section();
   reserved_.restore(r);
   shared_.restore(r);
+  // release walks each running gang's chain by its GPU count, so every
+  // chain must hold exactly its nodes and no node may be in two gangs.
+  std::vector<bool> in_gang(static_cast<std::size_t>(total_node_count()));
+  for (const JobRec& rec : recs_) {
+    if (rec.job == kNoRecord || rec.alloc.empty()) continue;
+    ACME_CHECK_MSG((rec.on_reserved ? reserved_ : shared_).chain_matches(rec.alloc),
+                   "snapshot allocation does not match its ledger's gang links");
+    if (rec.gpus < spec_.node.gpus) continue;  // sub-node jobs share nodes
+    for_each_node(rec, [&](int node, int) {
+      ACME_CHECK_MSG(!in_gang[static_cast<std::size_t>(node)],
+                     "snapshot places two gangs on one node");
+      in_gang[static_cast<std::size_t>(node)] = true;
+    });
+  }
   if (sample_event_.valid())
     engine_->rebind(sample_event_, [this, interval = sample_interval_] {
       sample_occupancy(interval);

@@ -21,7 +21,6 @@
 // replay() remains the one-call path.
 #pragma once
 
-#include <array>
 #include <memory>
 #include <vector>
 
@@ -63,7 +62,6 @@ struct SchedulerConfig {
   // Backfill window: how many queued jobs past a stuck head the scheduler may
   // examine per class (Slurm-style conservative backfill).
   std::size_t backfill_depth = 64;
-  int cpus_per_gpu = 12;
 };
 
 // Reservations tuned per cluster: Seren hosts the alignment/MLLM mix so its
@@ -108,11 +106,10 @@ class SchedulerReplay {
 
   // Replays the trace start-to-drain on the scheduler's engine; GPU jobs only
   // (CPU jobs pass through with zero delay). Equivalent to begin_replay() +
-  // engine().run() + finish_replay(). The && overloads adopt the trace
-  // instead of copying it — callers that synthesize a trace just to replay it
-  // (world, experiments, benchmarks) should move it in.
-  ReplayResult replay(const trace::Trace& input, double sample_interval = 0);
-  ReplayResult replay(trace::Trace&& input, double sample_interval = 0);
+  // engine().run() + finish_replay(). The trace is taken by value: callers
+  // that synthesize a trace just to replay it (world, experiments,
+  // benchmarks) should move it in.
+  ReplayResult replay(trace::Trace input, double sample_interval = 0);
 
   // Integrated-spine protocol: begin_replay() posts every submission and
   // schedules the occupancy sampler (relative to engine().now()) but does not
@@ -120,8 +117,7 @@ class SchedulerReplay {
   // events — and collects the result with finish_replay() once the engine
   // drained. Submissions ride the engine's post lane, whose handler this
   // scheduler registers: an engine hosts at most one replay at a time.
-  void begin_replay(const trace::Trace& input, double sample_interval = 0);
-  void begin_replay(trace::Trace&& input, double sample_interval = 0);
+  void begin_replay(trace::Trace input, double sample_interval = 0);
   ReplayResult finish_replay();
 
   sim::Engine& engine() { return *engine_; }
@@ -158,8 +154,8 @@ class SchedulerReplay {
   int reserved_node_count() const;
   int total_node_count() const;
   // Appends (into `out`, which is cleared first) the indices of every
-  // running job with at least one allocation slice inside the global node
-  // span [first, first + count). Deterministic order: pretrain pool first,
+  // running job with at least one node inside the global node span
+  // [first, first + count). Deterministic order: pretrain pool first,
   // then best-effort, each in pool (oldest-first) order.
   void running_jobs_on_nodes(int first, int count,
                              std::vector<std::size_t>& out) const;
@@ -168,18 +164,10 @@ class SchedulerReplay {
   // Uncordoning re-opens capacity and triggers a dispatch pass.
   void cordon_nodes(int first, int count);
   void uncordon_nodes(int first, int count);
-  // Test introspection: a running job's allocation and which partition it
-  // landed on (slice node ids are partition-local).
-  const cluster::Allocation& allocation_of(std::size_t index) const {
-    return recs_[live_record(index)].alloc;
-  }
-  bool allocation_on_reserved(std::size_t index) const {
-    return recs_[live_record(index)].on_reserved;
-  }
-  // Test introspection: pre-spilled slice buffers of spill class k (k > 0)
-  // not lent to a running gang right now.
-  std::size_t free_slice_buffers(std::size_t k) const {
-    return slice_pool_[k].size();
+  // Calls fn(global_node, gpus) for each node of running job `index`.
+  template <typename Fn>
+  void for_each_node_of(std::size_t index, Fn&& fn) const {
+    for_each_node(recs_[live_record(index)], fn);
   }
 
   // --- Snapshot support (acme::snap, DESIGN.md §12). Valid only between
@@ -211,11 +199,8 @@ class SchedulerReplay {
   static constexpr std::size_t kPoolPretrain = 0;
   static constexpr std::size_t kPoolBestEffort = 1;
 
-  // Shared tail of begin_replay once jobs_ holds the active trace.
-  void arm_replay(double sample_interval);
-  // Sizes the engine for jobs_, registers the submission lane's handler,
-  // resets the record pool and pre-spills the wide-gang slice buffers (arm
-  // and restore share it).
+  // Sizes the engine for jobs_, registers the submission lane's handler and
+  // resets the record pool (begin_replay and restore share it).
   void reset_runtime_state();
   // Appends a fresh record (and its link ids) to the pool.
   std::uint32_t new_record();
@@ -223,17 +208,10 @@ class SchedulerReplay {
   std::uint32_t take_record(std::uint32_t index);
   // Record id of a queued or running job; ACME_CHECKs that it is live.
   std::uint32_t live_record(std::size_t index) const;
-  // Slice-buffer class of a gang of `gpus`: 0 when its slices fit the
-  // Allocation's inline buffer, else k for a gang of (2^(k-1), 2^k] nodes,
-  // which runs in a pooled buffer pre-spilled to 2^k slices.
-  std::size_t spill_class(int gpus) const;
-  // Places the record's gang on `part`; a wide gang borrows a pooled slice
-  // buffer of its class for as long as it runs.
+  // Places the record's gang on `part`.
   bool place(cluster::ClusterState& part, std::uint32_t rec);
-  // Moves a pooled buffer of the record's class into its (empty) allocation.
-  void lend_slice_buffer(std::uint32_t rec);
-  // Takes a running record off its nodes and running pool and returns its
-  // slice buffer (completion and eviction share it).
+  // Takes a running record off its nodes and running pool (completion and
+  // eviction share it).
   void stop_running(std::uint32_t rec);
   void sample_occupancy(double interval);
   void on_submit(std::uint32_t index);
@@ -276,19 +254,21 @@ class SchedulerReplay {
     std::uint32_t job = kNoRecord;  // owning trace index; kNoRecord = free
     int gpus = 0;
     QueueClass cls = QueueClass::kNormal;
-    std::uint8_t spill = 0;       // spill_class(gpus)
     bool on_reserved = false;
     bool delay_recorded = false;  // first-start delay already captured
   };
+  // Calls fn(global_node, gpus) for each node of a running record.
+  template <typename Fn>
+  void for_each_node(const JobRec& rec, Fn&& fn) const {
+    const int offset = rec.on_reserved ? 0 : reserved_.node_count();
+    (rec.on_reserved ? reserved_ : shared_)
+        .for_each_slice(rec.alloc, [&](cluster::NodeId node, int gpus) {
+          fn(node + offset, gpus);
+        });
+  }
   std::vector<std::uint32_t> rec_of_;  // trace index -> record id or kNoRecord
   std::vector<JobRec> recs_;           // reserved to jobs_.size(), never moves
   std::vector<std::uint32_t> free_recs_;  // LIFO; the pool grows on demand
-  // Pre-spilled slice buffers by spill class, filled at arm so starting a
-  // wide gang never allocates mid-drain. Only running gangs hold one, and a
-  // running class-k gang holds at least m_k = 2^(k-1) * gpus_per_node + 1
-  // GPUs, so class k keeps min(gangs of class k, total GPUs / m_k) buffers.
-  static constexpr std::size_t kSpillClasses = 32;  // 2^31 slices at most
-  std::array<std::vector<cluster::Allocation>, kSpillClasses> slice_pool_;
   ReplayResult result_storage_;
   ReplayResult* result_ = nullptr;
   double replay_start_ = 0;            // engine time at begin_replay

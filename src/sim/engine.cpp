@@ -202,7 +202,7 @@ void Engine::restore(snap::SnapshotReader& r) {
   posted_ = static_cast<std::size_t>(r.read_u64());
   // Recompute capacity bounds from the restored slot count before the bulk
   // reads, so restored replays keep the no-mid-run-reallocation guarantee
-  // arm_replay established in the original run.
+  // begin_replay established in the original run.
   const auto slot_count = static_cast<std::size_t>(r.read_u64());
   // The hint is advisory (a corrupt value costs memory, not correctness), so
   // clamp it; an under-reserve just means a later reserve() grows the pools.

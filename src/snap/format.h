@@ -39,8 +39,10 @@
 namespace acme::snap {
 
 inline constexpr char kMagic[8] = {'A', 'C', 'M', 'E', 'S', 'N', 'A', 'P'};
-// Version 3: the scheduler section's trace array holds 40-byte JobRecords.
-inline constexpr std::uint32_t kFormatVersion = 3;
+// Version 4: a running job's placement is its first node, and each cluster
+// node carries its gang link (version 3 stored slice lists and per-node CPU
+// and host-memory counters).
+inline constexpr std::uint32_t kFormatVersion = 4;
 
 // CRC-32C (Castagnoli polynomial, reflected). Uses the SSE4.2 CRC32
 // instruction when the CPU has it (snapshots CRC megabytes per section);

@@ -1,5 +1,6 @@
 #include "trace/trace_io.h"
 
+#include <charconv>
 #include <cmath>
 #include <cstdint>
 #include <fstream>
@@ -49,6 +50,14 @@ double seconds_from_string(const std::string& s, const char* field) {
   return t;
 }
 
+// Shortest decimal that reads back as the same double, so a written trace
+// re-imports bit-identically (std::to_string keeps six decimals).
+std::string seconds_to_string(double t) {
+  char buf[32];
+  const auto res = std::to_chars(buf, buf + sizeof(buf), t);
+  return std::string(buf, res.ptr);
+}
+
 JobRecord job_from_row(const std::vector<std::string>& row) {
   if (row.size() != 9) throw std::invalid_argument("bad trace row width");
   JobRecord j;
@@ -73,8 +82,8 @@ void write_csv(std::ostream& out, const Trace& trace) {
   for (const auto& j : trace) {
     writer.write_row({std::to_string(j.id), to_string(j.type), to_string(j.status),
                       std::to_string(j.gpus), std::to_string(j.cpus),
-                      std::to_string(j.submit_time), std::to_string(j.duration),
-                      std::to_string(j.queue_delay), j.model_tag()});
+                      seconds_to_string(j.submit_time), seconds_to_string(j.duration),
+                      seconds_to_string(j.queue_delay), j.model_tag()});
   }
 }
 

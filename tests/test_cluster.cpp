@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "cluster/domain.h"
@@ -46,6 +48,17 @@ TEST(Spec, AcmeTotalGpus) {
 
 // --- Resource ledger ---
 
+static_assert(sizeof(Allocation) == 8, "a placement is a first node and a GPU count");
+static_assert(std::is_trivially_copyable_v<Allocation>);
+
+// (node, gpus) for each node of a placement, first to last.
+std::vector<std::pair<NodeId, int>> slices_of(const ClusterState& state,
+                                              const Allocation& alloc) {
+  std::vector<std::pair<NodeId, int>> out;
+  state.for_each_slice(alloc, [&](NodeId node, int gpus) { out.emplace_back(node, gpus); });
+  return out;
+}
+
 TEST(ClusterState, SubNodeBestFitPacksFullestNode) {
   ClusterSpec spec = seren_spec();
   spec.node_count = 3;
@@ -56,7 +69,8 @@ TEST(ClusterState, SubNodeBestFitPacksFullestNode) {
   // empty one.
   auto b = state.try_allocate(2);
   ASSERT_TRUE(b.has_value());
-  EXPECT_EQ(b->slices[0].node, a->slices[0].node);
+  EXPECT_EQ(b->first, a->first);
+  EXPECT_EQ(slices_of(state, *b), (std::vector<std::pair<NodeId, int>>{{a->first, 2}}));
   EXPECT_EQ(state.empty_healthy_nodes(), 2);
 }
 
@@ -66,8 +80,8 @@ TEST(ClusterState, GangAllocationUsesWholeNodes) {
   ClusterState state(spec);
   auto a = state.try_allocate(24);  // 3 whole nodes
   ASSERT_TRUE(a.has_value());
-  EXPECT_EQ(a->slices.size(), 3u);
-  for (const auto& s : a->slices) EXPECT_EQ(s.gpus, 8);
+  EXPECT_EQ(slices_of(state, *a),
+            (std::vector<std::pair<NodeId, int>>{{0, 8}, {1, 8}, {2, 8}}));
   EXPECT_EQ(state.free_gpus(), 16);
 }
 
@@ -77,9 +91,8 @@ TEST(ClusterState, GangWithRemainderTakesPartialSlice) {
   ClusterState state(spec);
   auto a = state.try_allocate(12);  // 1 full node + half a node
   ASSERT_TRUE(a.has_value());
-  EXPECT_EQ(a->total_gpus(), 12);
-  EXPECT_EQ(a->slices.size(), 2u);
-  EXPECT_EQ(a->slices[1].gpus, 4);
+  EXPECT_EQ(a->gpus, 12);
+  EXPECT_EQ(slices_of(state, *a), (std::vector<std::pair<NodeId, int>>{{0, 8}, {1, 4}}));
 }
 
 TEST(ClusterState, FailsWhenFragmented) {
@@ -115,7 +128,7 @@ TEST(ClusterState, CordonExcludesFromPlacementAndCounts) {
   EXPECT_EQ(state.free_gpus_including_cordoned(), 16);
   auto a = state.try_allocate(8);
   ASSERT_TRUE(a.has_value());
-  EXPECT_EQ(a->slices[0].node, 1);
+  EXPECT_EQ(a->first, 1);
   EXPECT_FALSE(state.try_allocate(1).has_value());
   state.uncordon(0);
   EXPECT_TRUE(state.try_allocate(1).has_value());
@@ -160,59 +173,49 @@ TEST(ClusterState, CordonUncordonRoundTripRestoresBucketsExactly) {
   // Bucket membership survived the churn: a 2-GPU job best-fits node 0.
   auto b = state.try_allocate(2);
   ASSERT_TRUE(b.has_value());
-  EXPECT_EQ(b->slices[0].node, a->slices[0].node);
+  EXPECT_EQ(b->first, a->first);
   state.release(*a);
   state.release(*b);
   EXPECT_EQ(state.free_gpus(), state.total_gpus());
 }
 
-TEST(ClusterState, TryAllocateIntoMatchesTryAllocate) {
+TEST(ClusterState, GangOverScatteredEmptyNodesReleasesExactlyThoseNodes) {
+  // Nodes 1, 3 and 4 are busy, so a 20-GPU gang threads through the empty
+  // nodes 0, 2 and 5 (remainder last). Releasing it frees exactly those
+  // nodes and resets their links: afterwards the ledger places exactly like
+  // one that never held the gang.
   ClusterSpec spec = seren_spec();
   spec.node_count = 6;
-  ClusterState by_value(spec);
-  ClusterState in_place(spec);
-  Allocation out;
-  for (const int gpus : {3, 24, 7, 12, 8, 1}) {
-    auto a = by_value.try_allocate(gpus);
-    const bool ok = in_place.try_allocate_into(gpus, 12, out);
-    ASSERT_EQ(a.has_value(), ok) << "gpus=" << gpus;
-    if (!ok) continue;
-    ASSERT_EQ(a->slices.size(), out.slices.size());
-    for (std::size_t i = 0; i < out.slices.size(); ++i) {
-      EXPECT_EQ(a->slices[i].node, out.slices[i].node);
-      EXPECT_EQ(a->slices[i].gpus, out.slices[i].gpus);
-      EXPECT_EQ(a->slices[i].cpus, out.slices[i].cpus);
-    }
-    in_place.release(out);
-    by_value.release(*a);
-  }
-  EXPECT_EQ(in_place.free_gpus(), in_place.total_gpus());
-}
-
-TEST(ClusterState, TryAllocateIntoReusesSpilledSliceBuffer) {
-  // A wide gang spills the Allocation's two-slice inline buffer; after a
-  // release + clear, reallocating into the same object must reuse the spilled
-  // block instead of growing a fresh one — the scheduler's restart path
-  // (evict -> re-place) relies on this to stay allocation-free.
-  ClusterSpec spec = seren_spec();
-  spec.node_count = 6;
+  const auto occupy_1_3_4 = [](ClusterState& state) {
+    std::vector<Allocation> whole;
+    for (int i = 0; i < 6; ++i) whole.push_back(*state.try_allocate(8));
+    for (NodeId n : {0, 2, 5}) state.release(whole[static_cast<std::size_t>(n)]);
+  };
   ClusterState state(spec);
-  Allocation out;
-  ASSERT_TRUE(state.try_allocate_into(40, 12, out));  // 5 whole nodes
-  ASSERT_EQ(out.slices.size(), 5u);
-  EXPECT_FALSE(out.slices.inline_storage());
-  const auto* block = out.slices.data();
-  const std::size_t cap = out.slices.capacity();
-  state.release(out);
-  ASSERT_TRUE(state.try_allocate_into(40, 12, out));
-  EXPECT_EQ(out.slices.data(), block);  // same heap block, no reallocation
-  EXPECT_EQ(out.slices.capacity(), cap);
-  // Failure (only one empty node left) empties the output but keeps its
-  // spilled capacity for the next attempt.
-  Allocation probe = out;
-  ASSERT_FALSE(state.try_allocate_into(16, 12, probe));
-  EXPECT_TRUE(probe.empty());
-  EXPECT_EQ(probe.slices.capacity(), cap);
+  ClusterState reference(spec);
+  occupy_1_3_4(state);
+  occupy_1_3_4(reference);
+
+  auto gang = state.try_allocate(20);
+  ASSERT_TRUE(gang.has_value());
+  EXPECT_EQ(gang->first, 0);
+  EXPECT_EQ(slices_of(state, *gang),
+            (std::vector<std::pair<NodeId, int>>{{0, 8}, {2, 8}, {5, 4}}));
+  EXPECT_TRUE(state.chain_matches(*gang));
+  EXPECT_EQ(state.free_gpus(), 4);
+  state.release(*gang);
+  EXPECT_EQ(state.free_gpus(), 24);
+  EXPECT_EQ(state.healthy_idle_nodes(), (std::vector<NodeId>{0, 2, 5}));
+
+  for (const int gpus : {3, 16, 5, 4, 8}) {
+    auto a = state.try_allocate(gpus);
+    auto b = reference.try_allocate(gpus);
+    ASSERT_EQ(a.has_value(), b.has_value()) << "gpus=" << gpus;
+    if (!a) continue;
+    EXPECT_EQ(slices_of(state, *a), slices_of(reference, *b)) << "gpus=" << gpus;
+    EXPECT_TRUE(state.chain_matches(*a)) << "gpus=" << gpus;  // no stale link
+  }
+  EXPECT_EQ(state.free_gpus(), reference.free_gpus());
 }
 
 // Property: a random allocate/release workload never oversubscribes and ends
@@ -236,7 +239,7 @@ TEST_P(StatePropertyTest, ConservationUnderRandomWorkload) {
       live.erase(live.begin() + static_cast<std::ptrdiff_t>(idx));
     }
     int used = 0;
-    for (const auto& a : live) used += a.total_gpus();
+    for (const auto& a : live) used += a.gpus;
     ASSERT_EQ(state.free_gpus_including_cordoned(), state.total_gpus() - used);
     for (int n = 0; n < state.node_count(); ++n) {
       ASSERT_GE(state.node(n).gpus_free, 0);
@@ -436,8 +439,8 @@ TEST(DomainTree, SubtreeCordonUncordonExactness) {
 
 TEST(DomainTree, CorrelatedKillMembershipMatchesBruteForce) {
   // The scheduler's global-span resident query (what a domain outage kills)
-  // must equal a brute-force filter of all running jobs by their translated
-  // allocation slices, for every pod subtree.
+  // must equal a brute-force filter of all running jobs by the global nodes
+  // of their placements, for every pod subtree.
   cluster::ClusterSpec spec = seren_spec();
   spec.node_count = 16;
   spec.topology = DomainShape{2, 2, 2};
@@ -463,21 +466,23 @@ TEST(DomainTree, CorrelatedKillMembershipMatchesBruteForce) {
   replay.begin_replay(std::move(jobs));
   while (engine.now() < 120.0 && engine.step(120.0)) {
   }
-  const int offset = replay.reserved_node_count();
   std::vector<std::size_t> all, got;
   replay.running_jobs_on_nodes(0, replay.total_node_count(), all);
   ASSERT_FALSE(all.empty());
+  for (std::size_t idx : all) {  // each placement covers its job's GPUs
+    int gpus = 0;
+    replay.for_each_node_of(idx, [&](int, int g) { gpus += g; });
+    EXPECT_EQ(gpus, replay.active_job(idx).gpus);
+  }
   for (DomainId pod : tree.domains(DomainKind::kPod)) {
     const int first = static_cast<int>(tree.first_node(pod));
     const int count = tree.domain_nodes(pod);
     std::vector<std::size_t> expect;
     for (std::size_t idx : all) {
       bool hit = false;
-      for (const auto& slice : replay.allocation_of(idx).slices) {
-        const int node =
-            slice.node + (replay.allocation_on_reserved(idx) ? 0 : offset);
+      replay.for_each_node_of(idx, [&](int node, int) {
         if (node >= first && node < first + count) hit = true;
-      }
+      });
       if (hit) expect.push_back(idx);
     }
     replay.running_jobs_on_nodes(first, count, got);

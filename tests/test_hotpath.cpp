@@ -1,7 +1,7 @@
 // Unit coverage for the allocation-free replay hot path's building blocks:
 // InlineFn capture-size edges, intrusive IndexList mutation-during-iteration,
-// IndexBitSet word-boundary iteration, SmallVec spill reuse, and Engine
-// reset/reserve semantics (the basis for Monte Carlo scratch reuse).
+// IndexBitSet word-boundary iteration, and Engine reset/reserve semantics
+// (the basis for Monte Carlo scratch reuse).
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -13,7 +13,6 @@
 #include "common/index_list.h"
 #include "common/inline_fn.h"
 #include "common/rng.h"
-#include "common/small_vec.h"
 #include "common/stats.h"
 #include "mc/aggregate.h"
 #include "sim/engine.h"
@@ -214,37 +213,6 @@ TEST(IndexBitSet, IdempotentCountAndWordBoundaryIteration) {
   set.clear();
   EXPECT_TRUE(set.empty());
   EXPECT_EQ(set.first(), common::IndexBitSet::npos);
-}
-
-// --- SmallVec -------------------------------------------------------------
-
-TEST(SmallVec, SpillPreservesElementsAndClearKeepsCapacity) {
-  common::SmallVec<int, 2> v;
-  EXPECT_TRUE(v.inline_storage());
-  for (int i = 0; i < 7; ++i) v.push_back(i);
-  EXPECT_FALSE(v.inline_storage());
-  ASSERT_EQ(v.size(), 7u);
-  for (int i = 0; i < 7; ++i) EXPECT_EQ(v[static_cast<std::size_t>(i)], i);
-  const std::size_t spilled_cap = v.capacity();
-  EXPECT_GE(spilled_cap, 7u);
-  // clear() must keep the heap block: refilling reuses the same capacity.
-  v.clear();
-  EXPECT_TRUE(v.empty());
-  EXPECT_EQ(v.capacity(), spilled_cap);
-  EXPECT_FALSE(v.inline_storage());
-  const int* block = v.data();
-  for (int i = 0; i < 7; ++i) v.push_back(10 + i);
-  EXPECT_EQ(v.data(), block);  // no reallocation on refill
-  EXPECT_EQ(v.back(), 16);
-}
-
-TEST(SmallVec, ReserveSpillsOnceUpFront) {
-  common::SmallVec<int, 2> v;
-  v.reserve(5);
-  EXPECT_GE(v.capacity(), 5u);
-  const int* block = v.data();
-  for (int i = 0; i < 5; ++i) v.push_back(i);
-  EXPECT_EQ(v.data(), block);  // pushes within the reservation never move
 }
 
 // --- Engine reset / reserve ----------------------------------------------

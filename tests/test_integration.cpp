@@ -107,7 +107,7 @@ TEST(FailureHandling, EndToEndAutoRecoveryLoop) {
   for (auto id : localization.faulty) state.cordon(id);
   const auto alloc = state.try_allocate(1024);
   ASSERT_TRUE(alloc.has_value());
-  for (const auto& slice : alloc->slices) EXPECT_NE(slice.node, 17);
+  state.for_each_slice(*alloc, [](cluster::NodeId node, int) { EXPECT_NE(node, 17); });
 
   // 5. Restart from the latest durable checkpoint.
   ckpt::CheckpointLedger ledger;

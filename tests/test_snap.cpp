@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <limits>
 #include <string>
 #include <utility>
@@ -25,6 +26,14 @@ using acme::snap::SnapshotReader;
 using acme::snap::SnapshotWriter;
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
+
+// (node, gpus) for each node of a placement, first to last.
+std::vector<std::pair<int, int>> slices_of(const acme::cluster::ClusterState& state,
+                                           const acme::cluster::Allocation& alloc) {
+  std::vector<std::pair<int, int>> out;
+  state.for_each_slice(alloc, [&](int node, int gpus) { out.emplace_back(node, gpus); });
+  return out;
+}
 
 std::string one_section_bytes() {
   SnapshotWriter w;
@@ -105,6 +114,11 @@ TEST(SnapFormat, RejectsVersionSkew) {
   std::string bytes = one_section_bytes();
   bytes[8] = static_cast<char>(bytes[8] + 1);  // version u32, little end
   EXPECT_THROW(SnapshotReader{std::move(bytes)}, CheckError);
+  // Version 3 stored slice lists; its bytes cannot be read as version 4.
+  ASSERT_EQ(acme::snap::kFormatVersion, 4u);
+  std::string v3 = one_section_bytes();
+  v3[8] = 3;
+  EXPECT_THROW(SnapshotReader{std::move(v3)}, CheckError);
 }
 
 TEST(SnapFormat, RejectsCorruptedPayload) {
@@ -364,6 +378,64 @@ TEST(SnapSched, FreshlyArmedReplayFootprintIsTraceBound) {
   EXPECT_LE(bytes, kJobs * (sizeof(acme::trace::JobRecord) + 16) + (64u << 10));
 }
 
+// Overwrites node `node`'s gang link in the first (reserved-partition)
+// cluster.state section and re-seals the section's CRC, as a hand-edited
+// snapshot would.
+std::string with_gang_link(std::string bytes, int node, std::int64_t link) {
+  const std::string name = "cluster.state";
+  const std::size_t len_at = bytes.find(name) + name.size();
+  std::uint64_t payload_len = 0;
+  std::memcpy(&payload_len, bytes.data() + len_at, sizeof(payload_len));
+  const std::size_t crc_at = len_at + sizeof(payload_len);
+  const std::size_t payload = crc_at + sizeof(std::uint32_t);
+  // Payload: node count (tag + u64), then per node gpus_free (tag + i64),
+  // cordoned (tag + u8) and the link (tag + i64).
+  const std::size_t link_at = payload + 9 + static_cast<std::size_t>(node) * 20 + 12;
+  std::memcpy(bytes.data() + link_at, &link, sizeof(link));
+  const std::uint32_t crc = acme::snap::crc32(bytes.data() + payload, payload_len);
+  std::memcpy(bytes.data() + crc_at, &crc, sizeof(crc));
+  return bytes;
+}
+
+// Two 2-node pretraining gangs run on reserved nodes 0-1 and 2-3. A restore
+// accepts the saved links and rejects a chain that is too short, too long,
+// or that shares a node with another gang.
+TEST(SnapSched, RestoreRejectsGangChainsThatDoNotMatchTheirJobs) {
+  acme::cluster::ClusterSpec spec = acme::cluster::seren_spec();
+  spec.node_count = 8;
+  acme::sched::SchedulerConfig config;
+  config.pretrain_reservation = 0.5;
+  acme::trace::Trace jobs;
+  for (int i = 0; i < 2; ++i) {
+    acme::trace::JobRecord job;
+    job.type = acme::trace::WorkloadType::kPretrain;
+    job.gpus = 2 * spec.node.gpus;
+    job.duration = 1000.0;
+    jobs.push_back(job);
+  }
+  acme::sim::Engine engine;
+  acme::sched::SchedulerReplay replay(engine, spec, config);
+  replay.begin_replay(std::move(jobs));
+  engine.run_until(1.0);
+  ASSERT_EQ(replay.running_jobs(), 2);
+  SnapshotWriter w;
+  engine.save(w);
+  replay.save(w);
+  const std::string bytes = w.finish();
+
+  const auto restore = [&](std::string snapshot) {
+    SnapshotReader r(std::move(snapshot));
+    acme::sim::Engine e;
+    acme::sched::SchedulerReplay s(e, spec, config);
+    e.restore(r);
+    s.restore_replay(r);
+  };
+  EXPECT_NO_THROW(restore(bytes));
+  EXPECT_THROW(restore(with_gang_link(bytes, 0, -1)), CheckError);  // 0 alone
+  EXPECT_THROW(restore(with_gang_link(bytes, 1, 2)), CheckError);   // 0-1-2-3
+  EXPECT_THROW(restore(with_gang_link(bytes, 0, 3)), CheckError);   // 0-3, 2-3
+}
+
 TEST(SnapCluster, LedgerRoundTripMatchesPlacementDecisions) {
   acme::cluster::ClusterSpec spec;
   spec.node_count = 8;
@@ -390,10 +462,53 @@ TEST(SnapCluster, LedgerRoundTripMatchesPlacementDecisions) {
   auto next_b = b.try_allocate(4);
   ASSERT_TRUE(next_a.has_value());
   ASSERT_TRUE(next_b.has_value());
-  ASSERT_EQ(next_a->slices.size(), next_b->slices.size());
-  for (std::size_t i = 0; i < next_a->slices.size(); ++i) {
-    EXPECT_EQ(next_a->slices[i].node, next_b->slices[i].node);
-    EXPECT_EQ(next_a->slices[i].gpus, next_b->slices[i].gpus);
+  EXPECT_EQ(slices_of(a, *next_a), slices_of(b, *next_b));
+  // The restored gang links let the restored ledger release the gang placed
+  // before the save; both then place the next gang identically.
+  EXPECT_TRUE(b.chain_matches(*big));
+  a.release(*big);
+  b.release(*big);
+  EXPECT_EQ(b.free_gpus(), a.free_gpus());
+  auto gang_a = a.try_allocate(3 * spec.node.gpus + 1);
+  auto gang_b = b.try_allocate(3 * spec.node.gpus + 1);
+  ASSERT_TRUE(gang_a.has_value());
+  ASSERT_TRUE(gang_b.has_value());
+  EXPECT_EQ(slices_of(a, *gang_a), slices_of(b, *gang_b));
+}
+
+TEST(SnapCluster, RestoreRejectsOutOfRangeLinksAndCounts) {
+  acme::cluster::ClusterSpec spec;
+  spec.node_count = 2;
+  acme::cluster::ClusterState a(spec);
+  SnapshotWriter w;
+  a.save(w);
+  std::string bytes = w.finish();
+  // The section a save of two idle nodes writes (node count, then per node
+  // free GPUs, cordon flag, gang link), with node 1's values replaced: a
+  // link past the ledger or below -1, or a free count that only fits in
+  // range once narrowed to 32 bits.
+  const auto forge = [&](std::int64_t node1_free, std::int64_t node1_link) {
+    SnapshotWriter forged;
+    forged.begin_section("cluster.state");
+    forged.write_u64(2);
+    for (int n = 0; n < 2; ++n) {
+      forged.write_i64(n == 1 ? node1_free : spec.node.gpus);
+      forged.write_bool(false);
+      forged.write_i64(n == 1 ? node1_link : -1);
+    }
+    forged.end_section();
+    return forged.finish();
+  };
+  ASSERT_EQ(forge(spec.node.gpus, -1), bytes);  // the layout of a real save
+  acme::cluster::ClusterState b(spec);
+  SnapshotReader good(std::move(bytes));
+  EXPECT_NO_THROW(b.restore(good));
+  const std::pair<std::int64_t, std::int64_t> bad_values[] = {
+      {8, 2}, {8, -2}, {(std::int64_t{1} << 32) + 8, -1}};
+  for (const auto& [gpus_free, link] : bad_values) {
+    acme::cluster::ClusterState c(spec);
+    SnapshotReader bad(forge(gpus_free, link));
+    EXPECT_THROW(c.restore(bad), CheckError) << "free " << gpus_free << " link " << link;
   }
 }
 

@@ -1,13 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
+#include <cstdint>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "cluster/spec.h"
 #include "common/rng.h"
 #include "common/units.h"
+#include "sched/scheduler.h"
 #include "trace/analysis.h"
 #include "trace/comparison.h"
 #include "trace/synthesizer.h"
@@ -224,21 +228,62 @@ TEST(Synthesizer, CampaignJobsCarryModelTags) {
 
 // --- Trace I/O ---
 
-TEST(TraceIo, CsvRoundTrip) {
-  auto profile = scaled(seren_profile(), 2000.0);
-  const auto trace = TraceSynthesizer(profile).generate();
+Trace csv_round_trip(const Trace& trace) {
   std::stringstream buf;
   write_csv(buf, trace);
-  const auto back = read_csv(buf);
+  return read_csv(buf);
+}
+
+// Bitwise, so a -0.0 / 0.0 or last-ulp difference fails too.
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+// A replayed seren trace (queue delays filled in) written and read back is
+// the same trace, field for field and bit for bit.
+TEST(TraceIo, CsvRoundTrip) {
+  auto profile = scaled(seren_profile(), 200.0);
+  sched::SchedulerReplay replay(cluster::seren_spec(), sched::seren_scheduler_config());
+  const Trace trace = replay.replay(TraceSynthesizer(profile).generate()).jobs;
+  const Trace back = csv_round_trip(trace);
   ASSERT_EQ(back.size(), trace.size());
+  std::size_t delayed = 0;
   for (std::size_t i = 0; i < trace.size(); ++i) {
+    SCOPED_TRACE(i);
     EXPECT_EQ(back[i].id, trace[i].id);
     EXPECT_EQ(back[i].type, trace[i].type);
     EXPECT_EQ(back[i].status, trace[i].status);
     EXPECT_EQ(back[i].gpus, trace[i].gpus);
-    EXPECT_NEAR(back[i].duration, trace[i].duration, 1e-3);
+    EXPECT_EQ(back[i].cpus, trace[i].cpus);
+    EXPECT_TRUE(same_bits(back[i].submit_time, trace[i].submit_time));
+    EXPECT_TRUE(same_bits(back[i].duration, trace[i].duration));
+    EXPECT_TRUE(same_bits(back[i].queue_delay, trace[i].queue_delay));
     EXPECT_EQ(back[i].model_tag_id, trace[i].model_tag_id);
+    if (trace[i].queue_delay > 0) ++delayed;
   }
+  EXPECT_GT(delayed, 0u);  // the delays round-tripped are not all zero
+}
+
+// Replaying a re-imported trace gives the same per-job queue delays as
+// replaying the in-memory one.
+TEST(TraceIo, ReimportedTraceReplaysIdentically) {
+  auto profile = scaled(seren_profile(), 200.0);
+  const Trace trace = TraceSynthesizer(profile).generate();
+  const auto replay_of = [](Trace jobs) {
+    sched::SchedulerReplay replay(cluster::seren_spec(), sched::seren_scheduler_config());
+    return replay.replay(std::move(jobs)).jobs;
+  };
+  const Trace direct = replay_of(trace);
+  const Trace reimported = replay_of(csv_round_trip(trace));
+  ASSERT_EQ(reimported.size(), direct.size());
+  std::size_t delayed = 0;
+  for (std::size_t i = 0; i < direct.size(); ++i) {
+    EXPECT_TRUE(same_bits(reimported[i].queue_delay, direct[i].queue_delay))
+        << "job " << i << ": " << reimported[i].queue_delay << " vs "
+        << direct[i].queue_delay;
+    if (direct[i].queue_delay > 0) ++delayed;
+  }
+  EXPECT_GT(delayed, 0u);
 }
 
 TEST(TraceIo, RejectsGarbage) {

@@ -4,7 +4,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <bit>
 #include <cstdio>
 #include <cstring>
 #include <limits>
@@ -641,50 +640,6 @@ TEST(World, ReportSamplesAreExactSized) {
   EXPECT_EQ(report.eval_queue_delay.values().capacity(),
             report.eval_queue_delay.count());
   EXPECT_EQ(report.replay.occupancy.capacity(), report.replay.occupancy.size());
-}
-
-// Gangs wider than two nodes run in pre-spilled slice buffers. Only running
-// gangs hold one, and a running gang of class k (2^(k-1) < nodes <= 2^k)
-// holds more than 2^(k-1) nodes' worth of GPUs, so the pool of class k is
-// min(gangs of class k, total GPUs / (2^(k-1) * gpus_per_node + 1)). On
-// hyperscale-small every class fits its gang count; seren's 286 nodes cap
-// every class below it.
-TEST(World, WideGangSliceBuffersAreBoundedByRunningGangs) {
-  for (const char* preset : {"hyperscale-small", "seren"}) {
-    SCOPED_TRACE(preset);
-    const world::ScenarioSpec spec = *world::find_scenario(preset);
-    const world::ClusterInputs inputs = world::cluster_inputs(spec);
-    const trace::Trace jobs = world::synthesize_trace(spec);
-    const auto per_node = static_cast<std::size_t>(inputs.spec.node.gpus);
-    const std::size_t total_gpus =
-        static_cast<std::size_t>(inputs.spec.node_count) * per_node;
-    std::map<std::size_t, std::size_t> pool;  // spill class -> expected buffers
-    std::size_t wide = 0;
-    for (const auto& job : jobs) {
-      const auto nodes = (static_cast<std::size_t>(job.gpus) + per_node - 1) / per_node;
-      if (nodes <= 2) continue;
-      ++pool[static_cast<std::size_t>(std::bit_width(nodes - 1))];
-      ++wide;
-    }
-    ASSERT_FALSE(pool.empty());
-    std::size_t pooled = 0;
-    for (auto& [k, n] : pool) {
-      n = std::min(n, total_gpus / ((std::size_t{1} << (k - 1)) * per_node + 1));
-      pooled += n;
-    }
-    if (std::string(preset) == "hyperscale-small") EXPECT_EQ(pooled, wide);
-    else EXPECT_LT(pooled * 5, wide);
-
-    sched::SchedulerReplay replay(inputs.spec, inputs.sched_config);
-    replay.begin_replay(jobs);
-    for (const auto& [k, n] : pool)
-      EXPECT_EQ(replay.free_slice_buffers(k), n) << "class " << k;
-    replay.engine().run();
-    EXPECT_EQ(replay.finish_replay().unstarted, 0u);
-    // Every gang handed its buffer back at completion.
-    for (const auto& [k, n] : pool)
-      EXPECT_EQ(replay.free_slice_buffers(k), n) << "class " << k;
-  }
 }
 
 TEST(World, McReplicasAreIndependent)  {
