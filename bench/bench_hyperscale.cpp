@@ -33,7 +33,7 @@
 #include <string>
 #include <vector>
 
-#include "alloc_hook.h"
+#include "perfbench/alloc_hook.h"
 #include "bench_util.h"
 
 using namespace acme;
@@ -89,12 +89,12 @@ SweepRow run_point(const SweepPoint& point, bool full) {
   world::World w(spec);
   w.prepare();  // trace synthesis + table sizing, outside the bracket
 
-  const std::uint64_t allocs_before = bench::heap_allocs();
+  perfbench::AllocCount allocs;
   const auto t0 = std::chrono::steady_clock::now();
   row.events =
       w.run_until(std::numeric_limits<double>::infinity());  // measured drain
   const auto t1 = std::chrono::steady_clock::now();
-  row.drain_allocs = bench::heap_allocs() - allocs_before;
+  row.drain_allocs = allocs.count();
   row.drain_wall = std::chrono::duration<double>(t1 - t0).count();
 
   row.report = w.finish();

@@ -3,7 +3,7 @@
 // vector store, and the trace synthesizer.
 #include <benchmark/benchmark.h>
 
-#include "alloc_hook.h"
+#include "perfbench/alloc_hook.h"
 #include "core/acme.h"
 
 using namespace acme;
@@ -114,9 +114,9 @@ void BM_SixMonthReplay(benchmark::State& state) {
     // brackets the pure event loop: setup (trace copy, table sizing) and
     // teardown allocate, the schedule→pop→dispatch loop must not.
     replay.begin_replay(jobs);
-    const std::uint64_t before = bench::heap_allocs();
+    perfbench::AllocCount allocs;
     replay.engine().run();
-    run_allocs += bench::heap_allocs() - before;
+    run_allocs += allocs.count();
     run_events += replay.engine().events_fired();
     benchmark::DoNotOptimize(replay.finish_replay());
   }

@@ -19,7 +19,7 @@
 #include <cstdio>
 #include <fstream>
 
-#include "alloc_hook.h"
+#include "perfbench/alloc_hook.h"
 #include "bench_util.h"
 
 using namespace acme;
@@ -82,11 +82,11 @@ int main(int argc, char** argv) {
 
   serve::ServeFleet fleet(engine, cfg, seed);
   fleet.start();
-  const std::uint64_t allocs_before = bench::heap_allocs();
+  perfbench::AllocCount allocs;
   const auto t0 = std::chrono::steady_clock::now();
   const std::size_t events = engine.run();
   const auto t1 = std::chrono::steady_clock::now();
-  const std::uint64_t run_allocs = bench::heap_allocs() - allocs_before;
+  const std::uint64_t run_allocs = allocs.count();
   const double wall = std::chrono::duration<double>(t1 - t0).count();
 
   const serve::FleetReport report = fleet.report();

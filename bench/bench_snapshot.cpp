@@ -31,7 +31,7 @@
 #include <limits>
 #include <vector>
 
-#include "alloc_hook.h"
+#include "perfbench/alloc_hook.h"
 #include "bench_util.h"
 #include "mc/replication.h"
 #include "snap/format.h"
@@ -170,9 +170,9 @@ int main(int argc, char** argv) {
     std::size_t bytes = 0;
     world::World resumed(gated);
     snapshot_roundtrip(gated, mid, &bytes, resumed);
-    const std::uint64_t allocs_before = bench::heap_allocs();
+    perfbench::AllocCount allocs;
     resumed.run_until(kForever);
-    restored_drain_allocs = bench::heap_allocs() - allocs_before;
+    restored_drain_allocs = allocs.count();
   }
 
   const double endtoend_s = median(endtoend_walls);

@@ -39,10 +39,11 @@
 namespace acme::snap {
 
 inline constexpr char kMagic[8] = {'A', 'C', 'M', 'E', 'S', 'N', 'A', 'P'};
-// Version 4: a running job's placement is its first node, and each cluster
-// node carries its gang link (version 3 stored slice lists and per-node CPU
-// and host-memory counters).
-inline constexpr std::uint32_t kFormatVersion = 4;
+// Version 5: the embedded scenario JSON has no serve-shape keys (version 4
+// carried each replica's GPU count, model, traffic shape and SLO targets).
+// Version 4 made a running job's placement its first node and gave each
+// cluster node its gang link.
+inline constexpr std::uint32_t kFormatVersion = 5;
 
 // CRC-32C (Castagnoli polynomial, reflected). Uses the SSE4.2 CRC32
 // instruction when the CPU has it (snapshots CRC megabytes per section);

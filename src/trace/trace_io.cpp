@@ -4,7 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <fstream>
-#include <limits>
+#include <system_error>
 #include <sstream>
 #include <stdexcept>
 
@@ -27,24 +27,38 @@ JobStatus status_from_string(const std::string& s) {
   throw std::invalid_argument("unknown job status: " + s);
 }
 
+// Parses all of `s` as a T. std::from_chars takes no leading '+' or
+// whitespace, and no '-' for an unsigned T; a field it reads only part of
+// ("12abc", or "12.5" as an integer) is rejected as well.
+template <typename T>
+std::errc parse_whole(const std::string& s, T* out) {
+  const char* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, *out);
+  return ec == std::errc() && ptr != end ? std::errc::invalid_argument : ec;
+}
+
 std::uint32_t id_from_string(const std::string& s) {
-  const unsigned long long id = std::stoull(s);
-  // stoull negates a leading '-', so "-1" lands here as 2^64 - 1 too.
-  if (s.find('-') != std::string::npos ||
-      id > std::numeric_limits<std::uint32_t>::max())
+  std::uint32_t id = 0;
+  const std::errc ec = parse_whole(s, &id);
+  if (ec == std::errc::result_out_of_range)
     throw std::invalid_argument("id " + s + " does not fit in 32 bits");
-  return static_cast<std::uint32_t>(id);
+  if (ec != std::errc())
+    throw std::invalid_argument("id " + s + " is not an unsigned integer");
+  return id;
 }
 
 int count_from_string(const std::string& s, const char* field) {
-  const int n = std::stoi(s);
+  int n = 0;
+  if (parse_whole(s, &n) != std::errc())
+    throw std::invalid_argument(std::string(field) + " " + s +
+                                " is not an integer");
   if (n < 0) throw std::invalid_argument(std::string(field) + " " + s + " is negative");
   return n;
 }
 
 double seconds_from_string(const std::string& s, const char* field) {
-  const double t = std::stod(s);
-  if (!std::isfinite(t) || t < 0)
+  double t = 0;
+  if (parse_whole(s, &t) != std::errc() || !std::isfinite(t) || t < 0)
     throw std::invalid_argument(std::string(field) + " " + s +
                                 " is not a finite non-negative time");
   return t;
@@ -96,7 +110,7 @@ Trace read_csv(std::istream& in) {
   for (std::size_t row_no = 1; reader.read_row(row); ++row_no) {
     try {
       trace.push_back(job_from_row(row));
-    } catch (const std::logic_error& e) {  // stoi/stod errors and ours
+    } catch (const std::logic_error& e) {
       throw std::invalid_argument("trace row " + std::to_string(row_no) + ": " +
                                   e.what());
     }

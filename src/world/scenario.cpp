@@ -2,11 +2,16 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <map>
-#include <mutex>
+#include <cstdlib>
+#include <iterator>
+#include <limits>
 #include <sstream>
+#include <system_error>
+#include <type_traits>
+#include <variant>
 
 #include "common/check.h"
 #include "common/cli.h"
@@ -35,7 +40,7 @@ std::string number(double v) {
   char buf[64];
   for (int precision = 1; precision <= 17; ++precision) {
     std::snprintf(buf, sizeof(buf), "%.*g", precision, v);
-    if (std::stod(buf) == v) break;
+    if (std::strtod(buf, nullptr) == v) break;  // stod throws on subnormals
   }
   return buf;
 }
@@ -95,67 +100,84 @@ struct FlatParser {
   }
 };
 
-bool parse_double(const std::string& raw, double* out) {
-  try {
-    std::size_t used = 0;
-    *out = std::stod(raw, &used);
-    return used == raw.size();
-  } catch (...) {
-    return false;
-  }
+// The whole token as a T. std::from_chars takes no leading '+' and, for an
+// unsigned T, no '-' (std::stoull would wrap "-1" to 2^64 - 1), and fails
+// on overflow.
+template <typename T>
+bool parse_whole(const std::string& raw, T* out) {
+  const char* end = raw.data() + raw.size();
+  const auto [ptr, ec] = std::from_chars(raw.data(), end, *out);
+  return ec == std::errc() && ptr == end;
 }
 
-// Digits only: std::stoull accepts a leading '-' and wraps it, so "-1" would
-// otherwise parse as 2^64 - 1.
-bool parse_u64(const std::string& raw, std::uint64_t* out) {
-  if (raw.empty() || !std::all_of(raw.begin(), raw.end(), [](unsigned char c) {
-        return std::isdigit(c) != 0;
-      }))
-    return false;
-  try {
-    std::size_t used = 0;
-    *out = std::stoull(raw, &used);
-    return used == raw.size();
-  } catch (...) {
-    return false;
-  }
-}
+constexpr double kInf = std::numeric_limits<double>::infinity();
 
-struct Registry {
-  std::mutex mu;
-  std::map<std::string, ScenarioSpec> by_name;
+// The accepted values of a numeric field; `requirement` is the text its
+// range error quotes (nullptr: every parsed value is accepted).
+struct Range {
+  double lo = -kInf;
+  bool lo_open = false;  // lo itself is rejected
+  double hi = kInf;
+  const char* requirement = nullptr;
+
+  bool contains(double v) const { return (lo_open ? v > lo : v >= lo) && v <= hi; }
 };
 
-Registry& registry() {
-  static Registry* r = [] {
-    auto* init = new Registry;
-    for (const ScenarioSpec& preset :
-         {seren_scenario(), kalos_scenario(), serve_seren_scenario(),
-          colocated_seren_scenario(), hyperscale_small_scenario()})
-      init->by_name[preset.name] = preset;
-    return init;
-  }();
-  return *r;
-}
+constexpr Range kPositive{0, true, kInf, "positive"};
+constexpr Range kNonNegative{0, false, kInf, ">= 0"};
+constexpr Range kAtLeastOne{1, false, kInf, ">= 1"};
 
-// Every key scenario_from_json accepts, for the "did you mean" suggestion.
-constexpr const char* kScenarioKeys[] = {
-    "name",          "cluster",
-    "scale",         "sample_interval_seconds",
-    "seed",          "inject_failures",
-    "failure_interval_scale", "auto_recovery",
-    "ckpt_interval_seconds",  "async_ckpt",
-    "fleet_samples", "pretrain",
-    "serve_replicas",         "serve_gpus_per_replica",
-    "serve_model",   "serve_rps",
-    "serve_diurnal_amplitude", "serve_burst_multiplier",
-    "serve_burst_fraction",    "serve_duration_seconds",
-    "serve_slo_ttft_seconds",  "serve_slo_tpot_seconds",
-    "node_count",    "topo_datacenters",
-    "topo_pods_per_dc",        "topo_nodes_per_switch",
-    "trace_multiplier",        "domain_failures",
-    "domain_failure_interval_scale",
+// One row per ScenarioSpec field, in to_json order. The member's type is the
+// field's JSON kind: a string, a finite double, an int (digits only, at most
+// 1,000,000), a u64 (digits only) or a bool.
+struct Field {
+  const char* key;
+  std::variant<std::string ScenarioSpec::*, double ScenarioSpec::*,
+               int ScenarioSpec::*, std::uint64_t ScenarioSpec::*,
+               bool ScenarioSpec::*>
+      member;
+  Range range = {};
 };
+
+const Field kFields[] = {
+    {"name", &ScenarioSpec::name},
+    {"cluster", &ScenarioSpec::cluster},
+    {"scale", &ScenarioSpec::scale, kPositive},
+    {"sample_interval_seconds", &ScenarioSpec::sample_interval_seconds,
+     kNonNegative},
+    {"seed", &ScenarioSpec::seed},
+    {"inject_failures", &ScenarioSpec::inject_failures},
+    {"failure_interval_scale", &ScenarioSpec::failure_interval_scale,
+     kPositive},
+    {"auto_recovery", &ScenarioSpec::auto_recovery},
+    {"ckpt_interval_seconds", &ScenarioSpec::ckpt_interval_seconds, kPositive},
+    {"async_ckpt", &ScenarioSpec::async_ckpt},
+    {"fleet_samples", &ScenarioSpec::fleet_samples},
+    {"pretrain", &ScenarioSpec::pretrain},
+    {"serve_replicas", &ScenarioSpec::serve_replicas},
+    {"serve_rps", &ScenarioSpec::serve_rps, kNonNegative},
+    {"serve_duration_seconds", &ScenarioSpec::serve_duration_seconds,
+     kPositive},
+    {"node_count", &ScenarioSpec::node_count},
+    {"topo_datacenters", &ScenarioSpec::topo_datacenters, kAtLeastOne},
+    {"topo_pods_per_dc", &ScenarioSpec::topo_pods_per_dc, kAtLeastOne},
+    {"topo_nodes_per_switch", &ScenarioSpec::topo_nodes_per_switch},
+    {"trace_multiplier", &ScenarioSpec::trace_multiplier,
+     {1, false, 4096, "in [1, 4096]"}},
+    {"domain_failures", &ScenarioSpec::domain_failures},
+    {"domain_failure_interval_scale",
+     &ScenarioSpec::domain_failure_interval_scale, kPositive},
+};
+
+void append_value(std::string* out, const std::string& v) {
+  *out += '"' + escape(v) + '"';
+}
+void append_value(std::string* out, double v) { *out += number(v); }
+void append_value(std::string* out, int v) { *out += std::to_string(v); }
+void append_value(std::string* out, std::uint64_t v) {
+  *out += std::to_string(v);
+}
+void append_value(std::string* out, bool v) { *out += v ? "true" : "false"; }
 
 // Range-violation messages mirror unknown_key_message's "did you mean"
 // style: a negative where a positive is required almost always means a
@@ -167,20 +189,71 @@ std::string range_message(const char* key, double v, const char* requirement) {
   return os.str();
 }
 
+// Parses `raw` into the field's member of *spec. Returns the error message,
+// empty on success.
+std::string assign(const Field& field, const std::string& raw, bool is_string,
+                   ScenarioSpec* spec) {
+  const auto bad = [&] {
+    return "bad value for \"" + std::string(field.key) + "\": " + raw;
+  };
+  return std::visit(
+      [&](auto member) -> std::string {
+        auto& value = spec->*member;
+        using T = std::remove_reference_t<decltype(value)>;
+        if constexpr (std::is_same_v<T, std::string>) {
+          if (!is_string) return bad();
+          value = raw;
+          return {};
+        } else if constexpr (std::is_same_v<T, bool>) {
+          if (is_string || (raw != "true" && raw != "false")) return bad();
+          value = raw == "true";
+          return {};
+        } else {
+          T v{};
+          if constexpr (std::is_same_v<T, double>) {
+            if (is_string || !parse_whole(raw, &v)) return bad();
+            // std::from_chars happily parses "nan" and "inf"; neither is a
+            // meaningful scenario number (NaN even defeats `x > 0`
+            // validation by comparing false).
+            if (!std::isfinite(v))
+              return "non-finite value for \"" + std::string(field.key) +
+                     "\": " + raw + " (scenario numbers must be finite)";
+          } else {
+            std::uint64_t n = 0;
+            if (is_string || !parse_whole(raw, &n) ||
+                (std::is_same_v<T, int> && n > 1000000))
+              return bad();
+            v = static_cast<T>(n);
+          }
+          const double d = static_cast<double>(v);
+          if (!field.range.contains(d))
+            return range_message(field.key, d, field.range.requirement);
+          value = v;
+          return {};
+        }
+      },
+      field.member);
+}
+
 std::string unknown_key_message(const std::string& key) {
   std::string best;
   std::size_t best_distance = 4;  // suggest only near-misses, like FlagSet
-  for (const char* known : kScenarioKeys) {
-    const std::size_t d = common::edit_distance(key, known);
+  for (const Field& field : kFields) {
+    const std::size_t d = common::edit_distance(key, field.key);
     if (d < best_distance) {
       best_distance = d;
-      best = known;
+      best = field.key;
     }
   }
   std::string message = "unknown scenario key \"" + key + "\"";
   if (!best.empty()) message += " (did you mean \"" + best + "\"?)";
   return message;
 }
+
+// The presets find_scenario resolves, in name order.
+constexpr ScenarioSpec (*kPresets[])() = {
+    colocated_seren_scenario, hyperscale_small_scenario, kalos_scenario,
+    seren_scenario, serve_seren_scenario};
 
 }  // namespace
 
@@ -190,39 +263,16 @@ double ScenarioSpec::trace_divisor() const {
 }
 
 std::string ScenarioSpec::to_json() const {
-  std::ostringstream out;
-  out << "{\"name\":\"" << escape(name) << "\""
-      << ",\"cluster\":\"" << escape(cluster) << "\""
-      << ",\"scale\":" << number(scale)
-      << ",\"sample_interval_seconds\":" << number(sample_interval_seconds)
-      << ",\"seed\":" << seed
-      << ",\"inject_failures\":" << (inject_failures ? "true" : "false")
-      << ",\"failure_interval_scale\":" << number(failure_interval_scale)
-      << ",\"auto_recovery\":" << (auto_recovery ? "true" : "false")
-      << ",\"ckpt_interval_seconds\":" << number(ckpt_interval_seconds)
-      << ",\"async_ckpt\":" << (async_ckpt ? "true" : "false")
-      << ",\"fleet_samples\":" << fleet_samples
-      << ",\"pretrain\":" << (pretrain ? "true" : "false")
-      << ",\"serve_replicas\":" << serve_replicas
-      << ",\"serve_gpus_per_replica\":" << serve_gpus_per_replica
-      << ",\"serve_model\":\"" << escape(serve_model) << "\""
-      << ",\"serve_rps\":" << number(serve_rps)
-      << ",\"serve_diurnal_amplitude\":" << number(serve_diurnal_amplitude)
-      << ",\"serve_burst_multiplier\":" << number(serve_burst_multiplier)
-      << ",\"serve_burst_fraction\":" << number(serve_burst_fraction)
-      << ",\"serve_duration_seconds\":" << number(serve_duration_seconds)
-      << ",\"serve_slo_ttft_seconds\":" << number(serve_slo_ttft_seconds)
-      << ",\"serve_slo_tpot_seconds\":" << number(serve_slo_tpot_seconds)
-      << ",\"node_count\":" << node_count
-      << ",\"topo_datacenters\":" << topo_datacenters
-      << ",\"topo_pods_per_dc\":" << topo_pods_per_dc
-      << ",\"topo_nodes_per_switch\":" << topo_nodes_per_switch
-      << ",\"trace_multiplier\":" << number(trace_multiplier)
-      << ",\"domain_failures\":" << (domain_failures ? "true" : "false")
-      << ",\"domain_failure_interval_scale\":"
-      << number(domain_failure_interval_scale)
-      << "}";
-  return out.str();
+  std::string out = "{";
+  for (const Field& field : kFields) {
+    if (out.size() > 1) out += ',';
+    out += '"';
+    out += field.key;
+    out += "\":";
+    std::visit([&](auto member) { append_value(&out, this->*member); },
+               field.member);
+  }
+  return out + "}";
 }
 
 std::optional<ScenarioSpec> scenario_from_json(const std::string& json,
@@ -253,165 +303,20 @@ std::optional<ScenarioSpec> scenario_from_json(const std::string& json,
     if (std::find(seen.begin(), seen.end(), key) != seen.end())
       return bail("duplicate scenario key \"" + key + "\"");
     seen.push_back(key);
-
-    const auto want_string = [&](std::string* field) {
-      if (!is_string) return false;
-      *field = raw;
-      return true;
-    };
-    // std::stod happily parses "nan" and "inf"; neither is a meaningful
-    // scenario number (NaN even defeats `x > 0` validation by comparing
-    // false), so non-finite values are rejected here with their own message.
-    bool nonfinite = false;
-    const auto want_double = [&](double* field) {
-      double v = 0;
-      if (is_string || !parse_double(raw, &v)) return false;
-      if (!std::isfinite(v)) {
-        nonfinite = true;
-        return false;
-      }
-      *field = v;
-      return true;
-    };
-    const auto want_bool = [&](bool* field) {
-      if (is_string || (raw != "true" && raw != "false")) return false;
-      *field = raw == "true";
-      return true;
-    };
-    const auto want_u64 = [&](std::uint64_t* field) {
-      return !is_string && parse_u64(raw, field);
-    };
-    const auto want_int = [&](int* field) {
-      std::uint64_t n = 0;
-      if (is_string || !parse_u64(raw, &n) || n > 1000000) return false;
-      *field = static_cast<int>(n);
-      return true;
-    };
-
-    bool ok;
-    if (key == "name") ok = want_string(&spec.name);
-    else if (key == "cluster") ok = want_string(&spec.cluster);
-    else if (key == "scale") ok = want_double(&spec.scale);
-    else if (key == "sample_interval_seconds")
-      ok = want_double(&spec.sample_interval_seconds);
-    else if (key == "seed") ok = want_u64(&spec.seed);
-    else if (key == "inject_failures") ok = want_bool(&spec.inject_failures);
-    else if (key == "failure_interval_scale")
-      ok = want_double(&spec.failure_interval_scale);
-    else if (key == "auto_recovery") ok = want_bool(&spec.auto_recovery);
-    else if (key == "ckpt_interval_seconds")
-      ok = want_double(&spec.ckpt_interval_seconds);
-    else if (key == "async_ckpt") ok = want_bool(&spec.async_ckpt);
-    else if (key == "fleet_samples") {
-      std::uint64_t n = 0;
-      ok = want_u64(&n);
-      spec.fleet_samples = static_cast<std::size_t>(n);
-    } else if (key == "pretrain") ok = want_bool(&spec.pretrain);
-    else if (key == "serve_replicas") ok = want_int(&spec.serve_replicas);
-    else if (key == "serve_gpus_per_replica")
-      ok = want_int(&spec.serve_gpus_per_replica);
-    else if (key == "serve_model") ok = want_string(&spec.serve_model);
-    else if (key == "serve_rps") ok = want_double(&spec.serve_rps);
-    else if (key == "serve_diurnal_amplitude")
-      ok = want_double(&spec.serve_diurnal_amplitude);
-    else if (key == "serve_burst_multiplier")
-      ok = want_double(&spec.serve_burst_multiplier);
-    else if (key == "serve_burst_fraction")
-      ok = want_double(&spec.serve_burst_fraction);
-    else if (key == "serve_duration_seconds")
-      ok = want_double(&spec.serve_duration_seconds);
-    else if (key == "serve_slo_ttft_seconds")
-      ok = want_double(&spec.serve_slo_ttft_seconds);
-    else if (key == "serve_slo_tpot_seconds")
-      ok = want_double(&spec.serve_slo_tpot_seconds);
-    else if (key == "node_count") ok = want_int(&spec.node_count);
-    else if (key == "topo_datacenters") ok = want_int(&spec.topo_datacenters);
-    else if (key == "topo_pods_per_dc") ok = want_int(&spec.topo_pods_per_dc);
-    else if (key == "topo_nodes_per_switch")
-      ok = want_int(&spec.topo_nodes_per_switch);
-    else if (key == "trace_multiplier") ok = want_double(&spec.trace_multiplier);
-    else if (key == "domain_failures") ok = want_bool(&spec.domain_failures);
-    else if (key == "domain_failure_interval_scale")
-      ok = want_double(&spec.domain_failure_interval_scale);
-    else {
-      return bail(unknown_key_message(key));
-    }
-    if (!ok) {
-      if (nonfinite)
-        return bail("non-finite value for \"" + key + "\": " + raw +
-                    " (scenario numbers must be finite)");
-      return bail("bad value for \"" + key + "\": " + raw);
-    }
+    const auto field = std::find_if(std::begin(kFields), std::end(kFields),
+                                    [&](const Field& f) { return key == f.key; });
+    if (field == std::end(kFields)) return bail(unknown_key_message(key));
+    if (std::string problem = assign(*field, raw, is_string, &spec);
+        !problem.empty())
+      return bail(problem);
   }
   p.skip_ws();
   if (p.i != json.size()) return bail("trailing garbage after scenario object");
   if (spec.cluster != "seren" && spec.cluster != "kalos")
     return bail("cluster must be \"seren\" or \"kalos\", got \"" +
                 spec.cluster + "\"");
-  if (!(spec.scale > 0))
-    return bail(range_message("scale", spec.scale, "positive"));
-  if (!(spec.failure_interval_scale > 0))
-    return bail(range_message("failure_interval_scale",
-                              spec.failure_interval_scale, "positive"));
-  if (!(spec.ckpt_interval_seconds > 0))
-    return bail(range_message("ckpt_interval_seconds",
-                              spec.ckpt_interval_seconds, "positive"));
-  if (spec.sample_interval_seconds < 0)
-    return bail(range_message("sample_interval_seconds",
-                              spec.sample_interval_seconds, ">= 0"));
-  if (spec.serve_model != "7b" && spec.serve_model != "104b" &&
-      spec.serve_model != "123b" && spec.serve_model != "moe")
-    return bail("serve_model must be one of 7b, 104b, 123b, moe; got \"" +
-                spec.serve_model + "\"");
   if (!spec.pretrain && !spec.serving())
     return bail("a serve-only scenario (pretrain=false) needs serve_replicas > 0");
-  // Serve ranges are checked even when serving is off: a spec carrying a
-  // poisoned serve field would otherwise blow up only when someone later
-  // re-enables replicas on it.
-  if (spec.serve_replicas < 0)
-    return bail(range_message("serve_replicas",
-                              static_cast<double>(spec.serve_replicas),
-                              ">= 0"));
-  if (spec.serve_gpus_per_replica <= 0)
-    return bail("serve_gpus_per_replica must be positive");
-  if (spec.serve_rps < 0)
-    return bail(range_message("serve_rps", spec.serve_rps, ">= 0"));
-  if (spec.serve_diurnal_amplitude < 0 || spec.serve_diurnal_amplitude > 1)
-    return bail(range_message("serve_diurnal_amplitude",
-                              spec.serve_diurnal_amplitude, "in [0, 1]"));
-  if (spec.serve_burst_multiplier < 1)
-    return bail(range_message("serve_burst_multiplier",
-                              spec.serve_burst_multiplier, ">= 1"));
-  if (spec.serve_burst_fraction < 0 || spec.serve_burst_fraction >= 1)
-    return bail(range_message("serve_burst_fraction",
-                              spec.serve_burst_fraction, "in [0, 1)"));
-  if (!(spec.serve_duration_seconds > 0))
-    return bail(range_message("serve_duration_seconds",
-                              spec.serve_duration_seconds, "positive"));
-  if (!(spec.serve_slo_ttft_seconds > 0))
-    return bail(range_message("serve_slo_ttft_seconds",
-                              spec.serve_slo_ttft_seconds, "positive"));
-  if (!(spec.serve_slo_tpot_seconds > 0))
-    return bail(range_message("serve_slo_tpot_seconds",
-                              spec.serve_slo_tpot_seconds, "positive"));
-  if (spec.topo_datacenters < 1)
-    return bail(range_message("topo_datacenters",
-                              static_cast<double>(spec.topo_datacenters),
-                              ">= 1"));
-  if (spec.topo_pods_per_dc < 1)
-    return bail(range_message("topo_pods_per_dc",
-                              static_cast<double>(spec.topo_pods_per_dc),
-                              ">= 1"));
-  if (spec.topo_nodes_per_switch < 0)
-    return bail(range_message("topo_nodes_per_switch",
-                              static_cast<double>(spec.topo_nodes_per_switch),
-                              ">= 0"));
-  if (!(spec.trace_multiplier >= 1.0) || spec.trace_multiplier > 4096.0)
-    return bail(range_message("trace_multiplier", spec.trace_multiplier,
-                              "in [1, 4096]"));
-  if (!(spec.domain_failure_interval_scale > 0))
-    return bail(range_message("domain_failure_interval_scale",
-                              spec.domain_failure_interval_scale, "positive"));
   // The DomainTree needs at least one node per pod; check against the node
   // count this spec resolves to so the failure surfaces at parse time.
   {
@@ -503,27 +408,17 @@ ScenarioSpec hyperscale_small_scenario() {
   return spec;
 }
 
-void register_scenario(const ScenarioSpec& spec) {
-  ACME_CHECK_MSG(!spec.name.empty(), "scenario needs a name");
-  Registry& r = registry();
-  std::lock_guard<std::mutex> lock(r.mu);
-  r.by_name[spec.name] = spec;
-}
-
 std::optional<ScenarioSpec> find_scenario(const std::string& name) {
-  Registry& r = registry();
-  std::lock_guard<std::mutex> lock(r.mu);
-  auto it = r.by_name.find(name);
-  if (it == r.by_name.end()) return std::nullopt;
-  return it->second;
+  for (const auto preset : kPresets) {
+    ScenarioSpec spec = preset();
+    if (spec.name == name) return spec;
+  }
+  return std::nullopt;
 }
 
 std::vector<std::string> scenario_names() {
-  Registry& r = registry();
-  std::lock_guard<std::mutex> lock(r.mu);
   std::vector<std::string> names;
-  names.reserve(r.by_name.size());
-  for (const auto& [name, spec] : r.by_name) names.push_back(name);
+  for (const auto preset : kPresets) names.push_back(preset().name);
   return names;
 }
 

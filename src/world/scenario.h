@@ -3,8 +3,8 @@
 // A ScenarioSpec names everything an integrated run needs — which cluster,
 // how much of the six-month trace, whether failures fire live, how recovery
 // is priced — as plain data. Specs round-trip through a flat JSON object, so
-// scenario files can drive the bench harness, and a process-wide registry
-// lets benches/tests refer to scenarios by name. The seren/kalos presets are
+// scenario files can drive the bench harness, and the presets are resolvable
+// by name. The seren/kalos presets are
 // the one definition of the Acme cluster assemblies: the world driver, the
 // characterization benches (which run them with inject_failures off) and the
 // tests all resolve their cluster, trace and scheduler from here.
@@ -45,7 +45,7 @@ struct ScenarioSpec {
   double ckpt_interval_seconds = 30.0 * 60.0;  // bounds rollback lost-work
   bool async_ckpt = true;  // async persist lag extends the rollback window
   // Fleet telemetry observations sampled from the replay's occupancy.
-  std::size_t fleet_samples = 20000;
+  std::uint64_t fleet_samples = 20000;
   // Pretraining replay on/off. A serve-only scenario turns it off and must
   // then configure a serving fleet.
   bool pretrain = true;
@@ -53,16 +53,11 @@ struct ScenarioSpec {
   // serving, > 0 stands up that many tensor-parallel replicas next to (or
   // instead of) the pretraining replay. With inject_failures on, Table 3
   // failures hit serve replicas in proportion to their share of the fleet.
+  // Each replica is serve::ServeConfig's default: an 8-GPU LLaMA-7B server
+  // with its diurnal/MMPP traffic shape and TTFT/TPOT SLO targets.
   int serve_replicas = 0;
-  int serve_gpus_per_replica = 8;
-  std::string serve_model = "7b";  // "7b" | "104b" | "123b" | "moe"
-  double serve_rps = 100.0;        // long-run offered requests/second
-  double serve_diurnal_amplitude = 0.5;
-  double serve_burst_multiplier = 3.0;
-  double serve_burst_fraction = 0.1;
+  double serve_rps = 100.0;                // long-run offered requests/second
   double serve_duration_seconds = 3600.0;  // arrival horizon
-  double serve_slo_ttft_seconds = 2.0;
-  double serve_slo_tpot_seconds = 0.1;
   // --- Hierarchical topology & hyperscale (ROADMAP item 2). ---
   // node_count == 0 keeps the cluster's Table 1 node count; > 0 overrides
   // it (hyperscale fleets reuse the cluster's node hardware profile).
@@ -86,6 +81,8 @@ struct ScenarioSpec {
   double trace_divisor() const;
 
   std::string to_json() const;
+
+  bool operator==(const ScenarioSpec&) const = default;
 };
 
 // Parses a flat JSON object written by to_json. Unknown keys are an error
@@ -108,13 +105,12 @@ ScenarioSpec colocated_seren_scenario();
 // 8-node switch groups, spine/long-haul fabric tiers, correlated domain
 // failures, and trace volume proportional to fleet size.
 ScenarioSpec hyperscale_scenario(int n_gpus, int n_dcs);
-// Registered preset "hyperscale-small": a 1024-node 2-DC fleet small enough
+// Preset "hyperscale-small": a 1024-node 2-DC fleet small enough
 // for the determinism matrix (straight + snapshot-resume + workers).
 ScenarioSpec hyperscale_small_scenario();
 
-// Named-scenario registry. The presets are always resolvable; registering a
-// spec under an existing name replaces it.
-void register_scenario(const ScenarioSpec& spec);
+// The five presets above by name ("seren", "kalos", "serve-seren",
+// "colocated-seren", "hyperscale-small"); names come back sorted.
 std::optional<ScenarioSpec> find_scenario(const std::string& name);
 std::vector<std::string> scenario_names();
 

@@ -62,18 +62,8 @@ serve::ServeConfig serve_config(const ScenarioSpec& spec) {
   ACME_CHECK_MSG(spec.serving(), "scenario configures no serving fleet");
   serve::ServeConfig cfg;
   cfg.replicas = spec.serve_replicas;
-  cfg.hw.gpus = spec.serve_gpus_per_replica;
-  if (spec.serve_model == "104b") cfg.model = parallel::llm_104b();
-  else if (spec.serve_model == "123b") cfg.model = parallel::llm_123b();
-  else if (spec.serve_model == "moe") cfg.model = parallel::moe_mistral_7b();
-  else cfg.model = parallel::llm_7b();
   cfg.fabric = spec.kalos() ? comm::kalos_fabric() : comm::seren_fabric();
   cfg.traffic.mean_rps = spec.serve_rps;
-  cfg.traffic.diurnal_amplitude = spec.serve_diurnal_amplitude;
-  cfg.traffic.burst_multiplier = spec.serve_burst_multiplier;
-  cfg.traffic.burst_fraction = spec.serve_burst_fraction;
-  cfg.slo_ttft_seconds = spec.serve_slo_ttft_seconds;
-  cfg.slo_tpot_seconds = spec.serve_slo_tpot_seconds;
   cfg.horizon_seconds = spec.serve_duration_seconds;
   return cfg;
 }

@@ -114,11 +114,14 @@ TEST(SnapFormat, RejectsVersionSkew) {
   std::string bytes = one_section_bytes();
   bytes[8] = static_cast<char>(bytes[8] + 1);  // version u32, little end
   EXPECT_THROW(SnapshotReader{std::move(bytes)}, CheckError);
-  // Version 3 stored slice lists; its bytes cannot be read as version 4.
-  ASSERT_EQ(acme::snap::kFormatVersion, 4u);
-  std::string v3 = one_section_bytes();
-  v3[8] = 3;
-  EXPECT_THROW(SnapshotReader{std::move(v3)}, CheckError);
+  // Version 3 stored slice lists and version 4 embedded the serve-shape
+  // scenario keys; neither can be read as version 5.
+  ASSERT_EQ(acme::snap::kFormatVersion, 5u);
+  for (const char old : {3, 4}) {
+    std::string stale = one_section_bytes();
+    stale[8] = old;
+    EXPECT_THROW(SnapshotReader{std::move(stale)}, CheckError);
+  }
 }
 
 TEST(SnapFormat, RejectsCorruptedPayload) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -328,6 +329,28 @@ TEST(TraceIo, RejectsNonFiniteOrNegativeTimes) {
     expect_row_rejected("2,SFT,Completed,8,96,0," + v + ",0,", "duration");
     expect_row_rejected("2,SFT,Completed,8,96,0,60," + v + ",", "queue_delay");
   }
+}
+
+TEST(TraceIo, RejectsPartlyNumericFields) {
+  expect_row_rejected("7x,SFT,Completed,8,96,0,60,0,", "id");
+  expect_row_rejected("2,SFT,Completed,12.5,96,0,60,0,", "gpus");
+  expect_row_rejected("2,SFT,Completed,8,3x,0,60,0,", "cpus");
+  expect_row_rejected("2,SFT,Completed,8,96,12abc,60,0,", "submit_time");
+  expect_row_rejected("2,SFT,Completed,8,96,0,60,+5,", "queue_delay");
+}
+
+// write_csv prints the shortest round-trip form, which for the smallest
+// subnormal is "5e-324"; reading it back must give the same bits.
+TEST(TraceIo, SubnormalTimeRoundTrips) {
+  JobRecord job;
+  job.id = 3;
+  job.type = WorkloadType::kSFT;
+  job.gpus = 8;
+  job.submit_time = std::numeric_limits<double>::denorm_min();
+  job.duration = 60;
+  const Trace back = csv_round_trip({job});
+  ASSERT_EQ(back.size(), 1u);
+  EXPECT_TRUE(same_bits(back[0].submit_time, job.submit_time));
 }
 
 TEST(TraceIo, LargestIdRoundTrips) {

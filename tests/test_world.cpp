@@ -10,6 +10,7 @@
 #include <map>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "core/acme.h"
 #include "snap/format.h"
@@ -36,30 +37,53 @@ const world::WorldReport& failing_report() {
   return report;
 }
 
+// The "key":value pairs of a to_json string, in order.
+std::vector<std::string> json_pairs(const std::string& json) {
+  std::vector<std::string> pairs;
+  std::size_t begin = 1;  // past '{'
+  for (std::size_t i = begin; i < json.size(); ++i)
+    if (json[i] == ',' || json[i] == '}') {
+      pairs.push_back(json.substr(begin, i - begin));
+      begin = i + 1;
+    }
+  return pairs;
+}
+
 TEST(Scenario, JsonRoundTrip) {
-  world::ScenarioSpec spec = world::kalos_scenario();
+  world::ScenarioSpec spec;
   spec.name = "rt";
+  spec.cluster = "kalos";
   spec.scale = 0.125;
+  spec.sample_interval_seconds = 450.5;
   spec.seed = 1234567;
   spec.inject_failures = false;
   spec.failure_interval_scale = 2.5;
+  spec.auto_recovery = false;
   spec.ckpt_interval_seconds = 1234.5;
+  spec.async_ckpt = false;
   spec.fleet_samples = 77;
+  spec.pretrain = false;
+  spec.serve_replicas = 12;
+  spec.serve_rps = 123.5;
+  spec.serve_duration_seconds = 7200.0;
+  spec.node_count = 64;
+  spec.topo_datacenters = 2;
+  spec.topo_pods_per_dc = 4;
+  spec.topo_nodes_per_switch = 4;
+  spec.trace_multiplier = 3.5;
+  spec.domain_failures = true;
+  spec.domain_failure_interval_scale = 0.05;
+  // Every field differs from its default, so the round trip covers them all.
+  const std::vector<std::string> set = json_pairs(spec.to_json());
+  const std::vector<std::string> defaults =
+      json_pairs(world::ScenarioSpec{}.to_json());
+  ASSERT_EQ(set.size(), defaults.size());
+  for (std::size_t i = 0; i < set.size(); ++i) EXPECT_NE(set[i], defaults[i]);
+
   std::string error;
   auto parsed = world::scenario_from_json(spec.to_json(), &error);
   ASSERT_TRUE(parsed.has_value()) << error;
-  EXPECT_EQ(parsed->name, spec.name);
-  EXPECT_EQ(parsed->cluster, spec.cluster);
-  EXPECT_EQ(parsed->scale, spec.scale);
-  EXPECT_EQ(parsed->sample_interval_seconds, spec.sample_interval_seconds);
-  EXPECT_EQ(parsed->seed, spec.seed);
-  EXPECT_EQ(parsed->inject_failures, spec.inject_failures);
-  EXPECT_EQ(parsed->failure_interval_scale, spec.failure_interval_scale);
-  EXPECT_EQ(parsed->auto_recovery, spec.auto_recovery);
-  EXPECT_EQ(parsed->ckpt_interval_seconds, spec.ckpt_interval_seconds);
-  EXPECT_EQ(parsed->async_ckpt, spec.async_ckpt);
-  EXPECT_EQ(parsed->fleet_samples, spec.fleet_samples);
-  EXPECT_EQ(parsed->to_json(), spec.to_json());
+  EXPECT_TRUE(*parsed == spec) << parsed->to_json();
 }
 
 TEST(Scenario, ParserRejectsMalformedInput) {
@@ -83,30 +107,39 @@ TEST(Scenario, ServeFieldsRoundTrip) {
   world::ScenarioSpec spec = world::serve_seren_scenario();
   spec.name = "serve-rt";
   spec.serve_replicas = 12;
-  spec.serve_gpus_per_replica = 4;
-  spec.serve_model = "moe";
-  spec.serve_rps = 123.5;
-  spec.serve_diurnal_amplitude = 0.75;
-  spec.serve_burst_multiplier = 2.5;
-  spec.serve_burst_fraction = 0.2;
   spec.serve_duration_seconds = 7200.0;
-  spec.serve_slo_ttft_seconds = 1.5;
-  spec.serve_slo_tpot_seconds = 0.05;
+  // A subnormal prints as "5e-324", which must neither throw nor round.
+  for (const double rps : {123.5, std::numeric_limits<double>::denorm_min()}) {
+    spec.serve_rps = rps;
+    std::string error;
+    auto parsed = world::scenario_from_json(spec.to_json(), &error);
+    ASSERT_TRUE(parsed.has_value()) << error;
+    EXPECT_TRUE(*parsed == spec) << parsed->to_json();
+  }
+}
+
+// Each replica is serve::ServeConfig's default; the per-replica shape keys
+// are not scenario fields.
+TEST(Scenario, ParserRejectsServeShapeKeys) {
+  for (const char* key :
+       {"serve_gpus_per_replica", "serve_model", "serve_diurnal_amplitude",
+        "serve_burst_multiplier", "serve_burst_fraction",
+        "serve_slo_ttft_seconds", "serve_slo_tpot_seconds"}) {
+    std::string error;
+    EXPECT_FALSE(world::scenario_from_json(
+        std::string("{\"serve_replicas\":4,\"") + key + "\":1}", &error));
+    EXPECT_NE(error.find("unknown scenario key \"" + std::string(key) + "\""),
+              std::string::npos)
+        << error;
+  }
+}
+
+TEST(Scenario, ParserRejectsEmptyTopologyTiers) {
   std::string error;
-  auto parsed = world::scenario_from_json(spec.to_json(), &error);
-  ASSERT_TRUE(parsed.has_value()) << error;
-  EXPECT_EQ(parsed->pretrain, spec.pretrain);
-  EXPECT_EQ(parsed->serve_replicas, spec.serve_replicas);
-  EXPECT_EQ(parsed->serve_gpus_per_replica, spec.serve_gpus_per_replica);
-  EXPECT_EQ(parsed->serve_model, spec.serve_model);
-  EXPECT_EQ(parsed->serve_rps, spec.serve_rps);
-  EXPECT_EQ(parsed->serve_diurnal_amplitude, spec.serve_diurnal_amplitude);
-  EXPECT_EQ(parsed->serve_burst_multiplier, spec.serve_burst_multiplier);
-  EXPECT_EQ(parsed->serve_burst_fraction, spec.serve_burst_fraction);
-  EXPECT_EQ(parsed->serve_duration_seconds, spec.serve_duration_seconds);
-  EXPECT_EQ(parsed->serve_slo_ttft_seconds, spec.serve_slo_ttft_seconds);
-  EXPECT_EQ(parsed->serve_slo_tpot_seconds, spec.serve_slo_tpot_seconds);
-  EXPECT_EQ(parsed->to_json(), spec.to_json());
+  EXPECT_FALSE(world::scenario_from_json("{\"topo_datacenters\":0}", &error));
+  EXPECT_EQ(error, "topo_datacenters must be >= 1, got 0");
+  EXPECT_FALSE(world::scenario_from_json("{\"topo_pods_per_dc\":0}", &error));
+  EXPECT_EQ(error, "topo_pods_per_dc must be >= 1, got 0");
 }
 
 TEST(Scenario, ParserSuggestsNearMissKeys) {
@@ -135,13 +168,9 @@ TEST(Scenario, ServeValidationRejectsNonsense) {
   // A world with neither pretraining nor serving does nothing.
   EXPECT_FALSE(world::scenario_from_json("{\"pretrain\":false}", &error));
   EXPECT_FALSE(world::scenario_from_json(
-      "{\"serve_replicas\":4,\"serve_model\":\"70b\"}", &error));
-  EXPECT_FALSE(world::scenario_from_json(
       "{\"serve_replicas\":4,\"serve_rps\":-1}", &error));
   EXPECT_FALSE(world::scenario_from_json(
-      "{\"serve_replicas\":4,\"serve_burst_fraction\":1.0}", &error));
-  EXPECT_FALSE(world::scenario_from_json(
-      "{\"serve_replicas\":4,\"serve_diurnal_amplitude\":1.5}", &error));
+      "{\"serve_replicas\":4,\"serve_duration_seconds\":0}", &error));
   EXPECT_TRUE(world::scenario_from_json("{\"serve_replicas\":4}", &error)
                   .has_value())
       << error;
@@ -237,23 +266,20 @@ TEST(World, ColocatedRunServesAndTrainsOnOneSpine) {
   EXPECT_GT(report.busy_fraction, 0.0);
 }
 
-TEST(Scenario, RegistryServesPresetsAndCustomSpecs) {
+TEST(Scenario, PresetsResolveByName) {
   auto seren = world::find_scenario("seren");
   ASSERT_TRUE(seren.has_value());
   EXPECT_EQ(seren->cluster, "seren");
   EXPECT_EQ(seren->scale, 8.0);
   ASSERT_TRUE(world::find_scenario("kalos").has_value());
   EXPECT_FALSE(world::find_scenario("nonesuch").has_value());
-
-  world::ScenarioSpec custom = world::kalos_scenario();
-  custom.name = "kalos-quiet";
-  custom.inject_failures = false;
-  world::register_scenario(custom);
-  auto found = world::find_scenario("kalos-quiet");
-  ASSERT_TRUE(found.has_value());
-  EXPECT_FALSE(found->inject_failures);
-  const auto names = world::scenario_names();
-  EXPECT_NE(std::find(names.begin(), names.end(), "kalos-quiet"), names.end());
+  const std::vector<std::string> names = world::scenario_names();
+  EXPECT_EQ(names,
+            (std::vector<std::string>{"colocated-seren", "hyperscale-small",
+                                      "kalos", "seren", "serve-seren"}));
+  for (const std::string& name : names)
+    EXPECT_EQ(world::find_scenario(name).value_or(world::ScenarioSpec{}).name,
+              name);
 }
 
 // A failure-free replay at `scale`/`seed` with no fleet telemetry: the bare
@@ -346,7 +372,7 @@ TEST(Scenario, ParserRejectsNonFiniteNumbers) {
       "{\"serve_replicas\":1,\"serve_rps\":nan}", &error));
   EXPECT_NE(error.find("serve_rps"), std::string::npos);
   EXPECT_FALSE(world::scenario_from_json(
-      "{\"serve_replicas\":1,\"serve_slo_ttft_seconds\":inf}", &error));
+      "{\"serve_replicas\":1,\"serve_duration_seconds\":inf}", &error));
 }
 
 TEST(Scenario, ParserSuggestsAbsoluteValueForDroppedSigns) {

@@ -26,6 +26,7 @@
 #include <exception>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <optional>
 #include <string>
@@ -192,25 +193,13 @@ const Mutator kMutators[] = {
     {"serve",
      [](world::ScenarioSpec& s, common::Rng& r) {
        s.serve_replicas = 1 + static_cast<int>(r.next() % 3);
-       const int gpu_choices[] = {1, 2, 4, 8};
-       s.serve_gpus_per_replica = gpu_choices[r.next() % 4];
-       const char* models[] = {"7b", "104b", "123b", "moe"};
-       s.serve_model = models[r.next() % 4];
        s.serve_rps = r.uniform(5.0, 40.0);
        s.serve_duration_seconds = r.uniform(300.0, 1200.0);
-       s.serve_diurnal_amplitude = r.uniform(0.0, 1.0);
-       s.serve_burst_multiplier = r.uniform(1.0, 5.0);
-       s.serve_burst_fraction = r.uniform(0.0, 0.5);
      },
      [](world::ScenarioSpec& s, const world::ScenarioSpec& b) {
        s.serve_replicas = b.serve_replicas;
-       s.serve_gpus_per_replica = b.serve_gpus_per_replica;
-       s.serve_model = b.serve_model;
        s.serve_rps = b.serve_rps;
        s.serve_duration_seconds = b.serve_duration_seconds;
-       s.serve_diurnal_amplitude = b.serve_diurnal_amplitude;
-       s.serve_burst_multiplier = b.serve_burst_multiplier;
-       s.serve_burst_fraction = b.serve_burst_fraction;
      }},
     {"topology",
      [](world::ScenarioSpec& s, common::Rng& r) {
@@ -246,15 +235,15 @@ std::string parser_probe(common::Rng& rng, std::string* probe_out) {
   static const char* kDoubleKeys[] = {
       "scale",          "failure_interval_scale", "ckpt_interval_seconds",
       "sample_interval_seconds", "serve_rps",     "serve_duration_seconds",
-      "serve_slo_ttft_seconds",  "serve_burst_multiplier",
+      "trace_multiplier",        "domain_failure_interval_scale",
   };
   static const char* kBadValues[] = {"nan", "inf", "-inf", "-8", "-0.5",
                                      "-1e6"};
   std::string json;
   switch (rng.next() % 3) {
     case 0: {  // hostile number in a known key
-      const char* key = kDoubleKeys[rng.next() % 8];
-      const char* bad = kBadValues[rng.next() % 6];
+      const char* key = kDoubleKeys[rng.next() % std::size(kDoubleKeys)];
+      const char* bad = kBadValues[rng.next() % std::size(kBadValues)];
       json = std::string("{\"") + key + "\":" + bad + "}";
       break;
     }
