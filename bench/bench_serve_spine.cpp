@@ -10,9 +10,10 @@
 // regression (exit 1), matching BM_SixMonthReplay's run_allocs=0 contract.
 //
 // The default traffic is deliberately flat (mild diurnal swing, no MMPP
-// bursts): the bench measures the spine — event dispatch, admission, epoch
-// settling, quantile sketches — not the trigonometry of an interesting
-// arrival process. bench_serve_slo covers the shaped-traffic behaviour.
+// bursts): the bench measures the spine — event dispatch, admission into
+// the finish-sorted batch, epoch settling, latency histograms — not the
+// trigonometry of an interesting arrival process. bench_serve_slo covers
+// the shaped-traffic behaviour.
 //
 // Flags: --replicas N --rps R --seconds SIMULATED --seed S --json out.json
 #include <chrono>

@@ -14,6 +14,14 @@
 // (allocator pages and CRC tables are process-lifetime state; see the
 // BENCH_6.json note on cold first runs).
 //
+// The gated save is the one World::save_file takes: a fresh SnapshotWriter
+// that grows its own multi-MB buffer. After the gated reps, the bench saves
+// one midpoint world repeatedly into a single reused buffer (a
+// SnapshotWriter that adopts a caller-owned string) and reports that cost
+// beside it, ungated; it runs last so the held buffer cannot change what
+// the allocator hands the gated saves. The bench prints getrusage minor
+// page faults per save on both paths and per restore.
+//
 // Gates (exit 1 past either):
 //   * median save+restore < 7% of the median end-to-end workload wall time.
 //     The budget was 5% when fleet telemetry cost ~1/3 of a seren replica;
@@ -24,11 +32,15 @@
 //     any heap allocation inside it fails the bench.
 //
 // Flags: --scenario NAME --scale S --reps N --replicas R --json out.json
+#include <sys/resource.h>
+
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
 #include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "perfbench/alloc_hook.h"
@@ -53,25 +65,69 @@ double median(std::vector<double> v) {
 constexpr double kForever = std::numeric_limits<double>::infinity();
 constexpr double kMaxOverheadRatio = 0.07;
 
-// One save + restore at the straight run's midpoint. Returns the wall
-// seconds spent inside save/finish/restore only (the simulated work on
-// either side is the same replay either way) and leaves the resumed world
-// in `resumed` for the digest check.
-double snapshot_roundtrip(const world::ScenarioSpec& spec, double mid,
-                          std::size_t* out_bytes, world::World& resumed) {
+long minor_faults() {
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  return usage.ru_minflt;
+}
+
+struct RoundTrip {
+  double seconds = 0;  // inside save/finish/restore only
+  std::size_t bytes = 0;
+  long save_faults = 0;
+  long restore_faults = 0;
+};
+
+// One save + restore at the straight run's midpoint. Only save/finish/
+// restore is timed: the simulated work on either side is the same replay
+// either way. Leaves the resumed world in `resumed` for the digest check.
+RoundTrip snapshot_roundtrip(const world::ScenarioSpec& spec, double mid,
+                             world::World& resumed) {
   world::World a(spec);
   a.run_until(mid);
+  RoundTrip out;
+  long faults = minor_faults();
   auto t0 = std::chrono::steady_clock::now();
   snap::SnapshotWriter w;
   a.save(w);
   std::string bytes = w.finish();
-  double overhead = seconds_since(t0);
-  *out_bytes = bytes.size();
+  out.seconds = seconds_since(t0);
+  out.save_faults = minor_faults() - faults;
+  out.bytes = bytes.size();
+  faults = minor_faults();
   t0 = std::chrono::steady_clock::now();
   snap::SnapshotReader r(std::move(bytes));
   resumed.restore(r);
-  overhead += seconds_since(t0);
-  return overhead;
+  out.seconds += seconds_since(t0);
+  out.restore_faults = minor_faults() - faults;
+  return out;
+}
+
+// Saves one midpoint world `reps` times into a single buffer that each
+// writer adopts and finish() hands back. The buffer starts as a copy of a
+// fresh writer's bytes, which every reused save must reproduce. Returns the
+// median seconds and minor faults per save.
+std::pair<double, double> reused_buffer_saves(const world::ScenarioSpec& spec,
+                                              double mid, std::uint64_t reps) {
+  world::World a(spec);
+  a.run_until(mid);
+  snap::SnapshotWriter first;
+  a.save(first);
+  const std::string fresh = first.finish();
+  std::string buffer = fresh;
+  std::vector<double> walls, faults;
+  for (std::uint64_t rep = 0; rep < reps; ++rep) {
+    const long faults0 = minor_faults();
+    const auto t0 = std::chrono::steady_clock::now();
+    snap::SnapshotWriter w(std::move(buffer));
+    a.save(w);
+    buffer = w.finish();
+    walls.push_back(seconds_since(t0));
+    faults.push_back(static_cast<double>(minor_faults() - faults0));
+    ACME_CHECK_MSG(buffer == fresh,
+                   "a save into a reused buffer wrote different bytes");
+  }
+  return {median(walls), median(faults)};
 }
 
 }  // namespace
@@ -132,12 +188,12 @@ int main(int argc, char** argv) {
   // Warm-up round-trip, untimed (first-touch pages, CRC dispatch, malloc
   // arena growth are process-lifetime costs the steady state never repays).
   {
-    std::size_t bytes = 0;
     world::World warm(spec);
-    snapshot_roundtrip(spec, mid, &bytes, warm);
+    snapshot_roundtrip(spec, mid, warm);
   }
 
-  std::vector<double> endtoend_walls, roundtrip_walls;
+  std::vector<double> endtoend_walls, roundtrip_walls, save_faults,
+      restore_faults;
   std::size_t snapshot_bytes = 0;
   for (std::uint64_t rep = 0; rep < reps; ++rep) {
     auto t0 = std::chrono::steady_clock::now();
@@ -145,8 +201,11 @@ int main(int argc, char** argv) {
     endtoend_walls.push_back(seconds_since(t0));
 
     world::World resumed(spec);
-    roundtrip_walls.push_back(
-        snapshot_roundtrip(spec, mid, &snapshot_bytes, resumed));
+    const RoundTrip trip = snapshot_roundtrip(spec, mid, resumed);
+    roundtrip_walls.push_back(trip.seconds);
+    save_faults.push_back(static_cast<double>(trip.save_faults));
+    restore_faults.push_back(static_cast<double>(trip.restore_faults));
+    snapshot_bytes = trip.bytes;
     resumed.run_until(kForever);
     if (resumed.finish().digest() != straight.digest()) {
       std::fprintf(stderr,
@@ -167,13 +226,15 @@ int main(int argc, char** argv) {
     world::ScenarioSpec gated = spec;
     gated.sample_interval_seconds = 0;
     gated.fleet_samples = 0;
-    std::size_t bytes = 0;
     world::World resumed(gated);
-    snapshot_roundtrip(gated, mid, &bytes, resumed);
+    snapshot_roundtrip(gated, mid, resumed);
     perfbench::AllocCount allocs;
     resumed.run_until(kForever);
     restored_drain_allocs = allocs.count();
   }
+
+  const auto [reused_save_s, reused_save_faults] =
+      reused_buffer_saves(spec, mid, reps);
 
   const double endtoend_s = median(endtoend_walls);
   const double roundtrip_s = median(roundtrip_walls);
@@ -184,8 +245,17 @@ int main(int argc, char** argv) {
                  common::Table::num(endtoend_s * 1e3, 1) + " ms"});
   table.add_row({"save+restore (median)",
                  common::Table::num(roundtrip_s * 1e3, 2) + " ms"});
+  table.add_row({"save into a reused buffer (median)",
+                 common::Table::num(reused_save_s * 1e3, 2) +
+                     " ms"});
   table.add_row({"snapshot size",
                  common::Table::num(snapshot_bytes / 1024.0, 1) + " KiB"});
+  table.add_row({"minor faults per save (median)",
+                 common::Table::num(median(save_faults), 0)});
+  table.add_row({"minor faults per reused-buffer save (median)",
+                 common::Table::num(reused_save_faults, 0)});
+  table.add_row({"minor faults per restore (median)",
+                 common::Table::num(median(restore_faults), 0)});
   table.add_row({"overhead ratio", common::Table::pct(ratio)});
   std::printf("%s", table.render().c_str());
   bench::recap("snapshot round-trip overhead",

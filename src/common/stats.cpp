@@ -48,6 +48,55 @@ double StreamingStats::sample_variance() const {
 
 double StreamingStats::stddev() const { return std::sqrt(variance()); }
 
+LatencyHistogram::LatencyHistogram() : counts_(kBuckets, 0) {}
+
+double LatencyHistogram::bucket_midpoint(std::size_t i) {
+  const double lo = std::bit_cast<double>((i + kBitsBase) << 46);
+  const double hi = std::bit_cast<double>((i + 1 + kBitsBase) << 46);
+  return 0.5 * (lo + hi);
+}
+
+double LatencyHistogram::quantile(double q) const {
+  if (count_ == 0) return 0.0;
+  const double pos = std::clamp(q, 0.0, 1.0) * static_cast<double>(count_ - 1);
+  const auto rank = static_cast<std::uint64_t>(pos);
+  std::uint64_t seen = 0;
+  for (std::size_t i = first_nonzero(); i < kBuckets; ++i) {
+    seen += counts_[i];
+    if (seen > rank) return bucket_midpoint(i);
+  }
+  return bucket_midpoint(kBuckets - 1);  // unreachable: seen ends at count_
+}
+
+std::size_t LatencyHistogram::first_nonzero() const {
+  std::size_t i = 0;
+  while (i < kBuckets && counts_[i] == 0) ++i;
+  return i;
+}
+
+std::size_t LatencyHistogram::end_nonzero() const {
+  std::size_t i = kBuckets;
+  while (i > 0 && counts_[i - 1] == 0) --i;
+  return i;
+}
+
+void LatencyHistogram::set_state(std::uint64_t count, double sum,
+                                 std::size_t first,
+                                 const std::vector<std::uint64_t>& span) {
+  ACME_CHECK_MSG(first <= kBuckets && span.size() <= kBuckets - first,
+                 "latency histogram bucket span out of range");
+  ACME_CHECK_MSG(std::accumulate(span.begin(), span.end(), std::uint64_t{0}) ==
+                     count,
+                 "latency histogram bucket counts do not sum to its count");
+  ACME_CHECK_MSG(sum >= 0.0 && sum <= std::numeric_limits<double>::max(),
+                 "latency histogram sum must be finite and non-negative");
+  std::fill(counts_.begin(), counts_.end(), 0);
+  std::copy(span.begin(), span.end(),
+            counts_.begin() + static_cast<std::ptrdiff_t>(first));
+  count_ = count;
+  sum_ = sum;
+}
+
 void SampleStats::add(double x) {
   values_.push_back(x);
   if (weighted_) weights_.push_back(1.0);

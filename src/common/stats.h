@@ -1,12 +1,16 @@
 // Statistics accumulators used by the characterization benches: streaming
-// moments, quantiles/CDFs from retained samples, histograms and boxplot
-// five-number summaries (Fig 5).
+// moments, quantiles/CDFs from retained samples, log-linear latency
+// histograms, fixed-bin histograms and boxplot five-number summaries (Fig 5).
 #pragma once
 
+#include <bit>
 #include <cstddef>
 #include <cstdint>
+#include <limits>
 #include <string>
 #include <vector>
+
+#include "common/check.h"
 
 namespace acme::common {
 
@@ -84,6 +88,77 @@ class SampleStats {
   mutable bool sorted_ = true;
   mutable bool weighted_ = false;
   double weight_sum_ = 0.0;
+};
+
+// Log-linear latency histogram for the serve spine's per-request TTFT, TPOT
+// and end-to-end latencies. A bucket is read straight off the IEEE-754 bits
+// of the value: the exponent plus the top 6 mantissa bits, i.e. 64 linear
+// sub-buckets per octave over [2^-24, 2^24) seconds (3072 buckets, 24 KB,
+// allocated at construction). Values below or above that range are counted
+// in the first or last bucket. add() is O(1) and allocation-free.
+//
+// Error bound: quantile(q) returns the linear midpoint of the bucket holding
+// the order statistic of rank floor(q * (n - 1)). A bucket [lo, hi) has
+// hi - lo <= lo / 64, so for an in-range order statistic x the answer is
+// within (hi - lo) / 2 <= x / 128, a relative error <= 2^-7 (~0.8%).
+// Counts are order-independent, so quantiles do not depend on the order in
+// which samples arrive; sum() (and so the mean) is accumulated in add order.
+class LatencyHistogram {
+ public:
+  static constexpr int kMinExponent = -24;
+  static constexpr int kMaxExponent = 24;
+  static constexpr int kSubBucketBits = 6;
+  static constexpr std::size_t kBuckets =
+      static_cast<std::size_t>(kMaxExponent - kMinExponent)
+      << kSubBucketBits;
+
+  LatencyHistogram();
+
+  // Rejects (ACME_CHECK) negative, NaN and infinite samples.
+  void add(double x) {
+    ACME_CHECK_MSG(x >= 0.0 && x <= std::numeric_limits<double>::max(),
+                   "latency sample must be finite and non-negative");
+    ++counts_[bucket(x)];
+    ++count_;
+    sum_ += x;
+  }
+
+  std::uint64_t count() const { return count_; }
+  double sum() const { return sum_; }
+  double mean() const {
+    return count_ ? sum_ / static_cast<double>(count_) : 0.0;
+  }
+  // q in [0, 1]; 0 when empty. See the error bound above.
+  double quantile(double q) const;
+
+  // Bucket of x: the edge buckets absorb everything outside the range
+  // (0, subnormals and values >= 2^24 included).
+  static std::size_t bucket(double x) {
+    if (x < 0x1p-24) return 0;
+    if (x >= 0x1p24) return kBuckets - 1;
+    return static_cast<std::size_t>((std::bit_cast<std::uint64_t>(x) >> 46) -
+                                    kBitsBase);
+  }
+  // Linear midpoint of bucket i's [lower, upper) value range.
+  static double bucket_midpoint(std::size_t i);
+
+  // Snapshot support (acme::snap): the nonzero bucket span [first, end) and
+  // its counts. set_state() validates the span against count before
+  // adopting it, so a restored histogram continues the stream exactly.
+  std::size_t first_nonzero() const;
+  std::size_t end_nonzero() const;
+  const std::vector<std::uint64_t>& buckets() const { return counts_; }
+  void set_state(std::uint64_t count, double sum, std::size_t first,
+                 const std::vector<std::uint64_t>& span);
+
+ private:
+  // IEEE-754 bits >> 46 of 2^kMinExponent: biased exponent, 6 zero bits.
+  static constexpr std::uint64_t kBitsBase =
+      static_cast<std::uint64_t>(1023 + kMinExponent) << kSubBucketBits;
+
+  std::vector<std::uint64_t> counts_;
+  std::uint64_t count_ = 0;
+  double sum_ = 0.0;
 };
 
 // Five-number summary with 1.5x IQR whiskers, as drawn in the paper's Fig 5.

@@ -1,109 +1,10 @@
 #include "mc/aggregate.h"
 
-#include <algorithm>
-#include <cmath>
-
-#include "common/check.h"
-
 namespace acme::mc {
-
-P2Quantile::P2Quantile(double q) : q_(std::clamp(q, 0.0, 1.0)) {}
-
-void P2Quantile::set_state(const State& s) {
-  ACME_CHECK_MSG(s.q == q_, "P2Quantile restore into a sketch with a "
-                            "different configured quantile");
-  count_ = static_cast<std::size_t>(s.count);
-  heights_ = s.heights;
-  positions_ = s.positions;
-  desired_ = s.desired;
-  increment_ = s.increment;
-}
-
-void P2Quantile::add(double x) {
-  if (count_ < 5) {
-    heights_[count_++] = x;
-    std::sort(heights_.begin(), heights_.begin() + static_cast<long>(count_));
-    if (count_ == 5) {
-      for (int i = 0; i < 5; ++i) positions_[static_cast<std::size_t>(i)] = i + 1;
-      desired_ = {1, 1 + 2 * q_, 1 + 4 * q_, 3 + 2 * q_, 5};
-      increment_ = {0, q_ / 2, q_, (1 + q_) / 2, 1};
-    }
-    return;
-  }
-  ++count_;
-
-  // Find the cell containing x and clamp the extreme markers.
-  int k;
-  if (x < heights_[0]) {
-    heights_[0] = x;
-    k = 0;
-  } else if (x >= heights_[4]) {
-    heights_[4] = std::max(heights_[4], x);
-    k = 3;
-  } else {
-    k = 0;
-    while (k < 3 && x >= heights_[static_cast<std::size_t>(k + 1)]) ++k;
-  }
-
-  for (int i = k + 1; i < 5; ++i) positions_[static_cast<std::size_t>(i)] += 1;
-  for (int i = 0; i < 5; ++i) desired_[static_cast<std::size_t>(i)] += increment_[static_cast<std::size_t>(i)];
-
-  // Adjust interior markers towards their desired positions.
-  for (int i = 1; i <= 3; ++i) {
-    const auto u = static_cast<std::size_t>(i);
-    const double d = desired_[u] - positions_[u];
-    const bool room_right = positions_[u + 1] - positions_[u] > 1;
-    const bool room_left = positions_[u - 1] - positions_[u] < -1;
-    if ((d >= 1 && room_right) || (d <= -1 && room_left)) {
-      const double step = d >= 1 ? 1 : -1;
-      double candidate = parabolic(i, step);
-      if (heights_[u - 1] < candidate && candidate < heights_[u + 1]) {
-        heights_[u] = candidate;
-      } else {
-        heights_[u] = linear(i, step);
-      }
-      positions_[u] += step;
-    }
-  }
-}
-
-double P2Quantile::parabolic(int i, double d) const {
-  const auto u = static_cast<std::size_t>(i);
-  const double qp = heights_[u + 1], qc = heights_[u], qm = heights_[u - 1];
-  const double np = positions_[u + 1], nc = positions_[u], nm = positions_[u - 1];
-  return qc + d / (np - nm) *
-                  ((nc - nm + d) * (qp - qc) / (np - nc) +
-                   (np - nc - d) * (qc - qm) / (nc - nm));
-}
-
-double P2Quantile::linear(int i, double d) const {
-  const auto u = static_cast<std::size_t>(i);
-  const auto v = static_cast<std::size_t>(i + static_cast<int>(d));
-  return heights_[u] + d * (heights_[v] - heights_[u]) / (positions_[v] - positions_[u]);
-}
-
-double P2Quantile::value() const {
-  if (count_ == 0) return 0.0;
-  if (count_ < 5) {
-    // Exact quantile over the retained prefix (nearest-rank interpolation,
-    // matching common::SampleStats::quantile's linear scheme).
-    const std::size_t n = count_;
-    const double pos = q_ * static_cast<double>(n - 1);
-    const auto lo = static_cast<std::size_t>(pos);
-    const std::size_t hi = std::min(lo + 1, n - 1);
-    const double frac = pos - static_cast<double>(lo);
-    return heights_[lo] + frac * (heights_[hi] - heights_[lo]);
-  }
-  return heights_[2];
-}
-
-MetricAggregator::MetricAggregator() : p50_(0.5), p90_(0.9), p99_(0.99) {}
 
 void MetricAggregator::add(double x) {
   moments_.add(x);
-  p50_.add(x);
-  p90_.add(x);
-  p99_.add(x);
+  values_.add(x);
 }
 
 }  // namespace acme::mc

@@ -1,71 +1,24 @@
-// Streaming replica-level statistics for Monte Carlo replication: Welford
-// moments with Student-t confidence intervals (common/stats.h) plus P²
-// quantile sketches (Jain & Chlamtac, CACM 1985) so per-metric p50/p90/p99
-// are available in O(1) memory no matter how many replicas stream through.
+// Replica-level statistics for Monte Carlo replication: Welford moments with
+// Student-t confidence intervals plus exact p50/p90/p99 over the retained
+// replica values (common/stats.h). A study runs at most a few hundred
+// replicas, so keeping every value costs kilobytes and buys exact quantiles.
 //
 // Aggregation is deterministic as long as values are added in replica order —
 // ReplicationPlan guarantees that by collecting results per replica index and
-// folding them serially after the parallel phase.
+// folding them serially after the parallel phase. The quantiles depend only
+// on the multiset of values; the moments on their order.
 #pragma once
 
-#include <array>
 #include <cstddef>
-#include <cstdint>
-#include <string>
 
 #include "common/stats.h"
 
 namespace acme::mc {
 
-// Single-quantile P² estimator. Exact for the first five observations, then
-// maintains five markers whose heights approximate the q-quantile via
-// piecewise-parabolic interpolation. Deterministic: same input sequence, same
-// estimate.
-class P2Quantile {
- public:
-  explicit P2Quantile(double q);
-
-  void add(double x);
-  std::size_t count() const { return count_; }
-  double quantile() const { return q_; }
-  // Current estimate; exact while count() <= 5.
-  double value() const;
-
-  // Snapshot support (acme::snap): the full marker state as a POD, so a
-  // restored sketch continues the stream bit-identically. `q` must match the
-  // sketch's configured quantile — checked on set_state.
-  struct State {
-    double q = 0;
-    std::uint64_t count = 0;
-    std::array<double, 5> heights{};
-    std::array<double, 5> positions{};
-    std::array<double, 5> desired{};
-    std::array<double, 5> increment{};
-  };
-  State state() const {
-    return State{q_, count_, heights_, positions_, desired_, increment_};
-  }
-  void set_state(const State& s);
-
- private:
-  double parabolic(int i, double d) const;
-  double linear(int i, double d) const;
-
-  double q_;
-  std::size_t count_ = 0;
-  std::array<double, 5> heights_{};    // marker heights (sorted)
-  std::array<double, 5> positions_{};  // actual marker positions (1-based)
-  std::array<double, 5> desired_{};    // desired marker positions
-  std::array<double, 5> increment_{};  // desired-position increments
-};
-
-// Per-metric streaming summary: mean/CI from Welford moments, tail behaviour
-// from three P² sketches. Values must be added in a deterministic order for
-// reproducible output (ReplicationPlan feeds replica order).
+// Per-metric summary: mean/CI from Welford moments, tail behaviour from the
+// exact order statistics of the values seen so far.
 class MetricAggregator {
  public:
-  MetricAggregator();
-
   void add(double x);
   std::size_t count() const { return moments_.count(); }
   double mean() const { return moments_.mean(); }
@@ -75,17 +28,19 @@ class MetricAggregator {
   // Half-width of the t-based 95% confidence interval of the mean; 0 until
   // two values have been seen.
   double ci95() const { return common::ci95_halfwidth(moments_); }
-  double p50() const { return p50_.value(); }
-  double p90() const { return p90_.value(); }
-  double p99() const { return p99_.value(); }
+  // Exact quantiles (linear interpolation between order statistics); 0 with
+  // no values. Not safe for concurrent readers: SampleStats sorts its values
+  // lazily inside these const calls, so read an aggregator from one thread
+  // (ReplicationPlan reads after joining its workers).
+  double p50() const { return values_.quantile(0.5); }
+  double p90() const { return values_.quantile(0.9); }
+  double p99() const { return values_.quantile(0.99); }
 
   const common::StreamingStats& moments() const { return moments_; }
 
  private:
   common::StreamingStats moments_;
-  P2Quantile p50_;
-  P2Quantile p90_;
-  P2Quantile p99_;
+  common::SampleStats values_;
 };
 
 }  // namespace acme::mc

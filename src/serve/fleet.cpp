@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <iomanip>
 #include <limits>
 #include <sstream>
@@ -71,13 +72,7 @@ ServeFleet::ServeFleet(sim::Engine& engine, ServeConfig config,
     : engine_(engine),
       config_(std::move(config)),
       cost_(config_.model, config_.hw, comm::CollectiveModel(config_.fabric)),
-      arrivals_(config_.traffic, seed),
-      ttft_p50_(0.5),
-      ttft_p99_(0.99),
-      tpot_p50_(0.5),
-      tpot_p99_(0.99),
-      e2e_p50_(0.5),
-      e2e_p99_(0.99) {
+      arrivals_(config_.traffic, seed) {
   ACME_CHECK_MSG(config_.replicas > 0, "serve fleet needs replicas");
   ACME_CHECK_MSG(config_.max_batch > 0, "max_batch must be positive");
   ACME_CHECK_MSG(config_.queue_cap > 0, "queue_cap must be positive");
@@ -86,7 +81,8 @@ ServeFleet::ServeFleet(sim::Engine& engine, ServeConfig config,
   up_ = config_.replicas;
   reps_.resize(static_cast<std::size_t>(config_.replicas));
   for (Replica& rep : reps_) {
-    rep.active.reserve(static_cast<std::size_t>(config_.max_batch));
+    rep.active_slot.reserve(static_cast<std::size_t>(config_.max_batch));
+    rep.active_finish.reserve(static_cast<std::size_t>(config_.max_batch));
     rep.ring.resize(static_cast<std::size_t>(config_.queue_cap));
   }
   // Every request in flight or queued owns one pool slot; this bound is the
@@ -125,7 +121,7 @@ int ServeFleet::pick_replica() const {
     const Replica& rep = reps_[static_cast<std::size_t>(r)];
     if (!rep.up) continue;
     if (rep.ring_count >= rep.ring.size()) continue;
-    const std::size_t load = rep.active.size() + rep.ring_count;
+    const std::size_t load = rep.active_slot.size() + rep.ring_count;
     if (load < best_load) {
       best_load = load;
       best = r;
@@ -169,7 +165,6 @@ void ServeFleet::arrival_fire() {
   req.first_token = 0;
   req.prompt = s.prompt_tokens;
   req.output = s.output_tokens;
-  req.finish_step = 0;
   req.span_id = next_span_id_++;
   if (obs::enabled())
     obs::tracer().async_begin("serve", "request", req.span_id);
@@ -197,7 +192,7 @@ void ServeFleet::plan_epoch(int r) {
   // enough residents complete.
   double prefill = 0;
   while (rep.ring_count > 0 &&
-         rep.active.size() < static_cast<std::size_t>(config_.max_batch)) {
+         rep.active_slot.size() < static_cast<std::size_t>(config_.max_batch)) {
     const std::uint32_t slot = rep.ring[rep.ring_head];
     Request& req = pool_[slot];
     const std::uint64_t need = static_cast<std::uint64_t>(req.prompt) +
@@ -215,21 +210,30 @@ void ServeFleet::plan_epoch(int r) {
     prefill_tokens_ += static_cast<std::uint64_t>(req.prompt);
     req.first_token = now + prefill;
     // output >= 2 always (traffic clamps), so at least one decode step.
-    req.finish_step =
+    const std::uint64_t finish =
         rep.steps + static_cast<std::uint64_t>(req.output) - 1;
-    rep.active.push_back(slot);
+    // Insert before every entry finishing at or before `finish`: the batch
+    // stays descending, and older requests with the same finish stay nearer
+    // the back.
+    const auto at = static_cast<std::size_t>(
+        std::lower_bound(rep.active_finish.begin(), rep.active_finish.end(),
+                         finish, std::greater<>()) -
+        rep.active_finish.begin());
+    rep.active_finish.insert(
+        rep.active_finish.begin() + static_cast<std::ptrdiff_t>(at), finish);
+    rep.active_slot.insert(
+        rep.active_slot.begin() + static_cast<std::ptrdiff_t>(at), slot);
   }
-  if (rep.active.empty()) return;  // idle until the next arrival
+  if (rep.active_slot.empty()) return;  // idle until the next arrival
 
-  // Epoch length: steps until the earliest completion, capped so queued
-  // requests get an admission scan at a bounded cadence.
-  std::uint64_t kmin = std::numeric_limits<std::uint64_t>::max();
-  for (const std::uint32_t slot : rep.active)
-    kmin = std::min(kmin, pool_[slot].finish_step - rep.steps);
-  const std::uint64_t k =
-      std::min<std::uint64_t>(kmin, static_cast<std::uint64_t>(config_.max_epoch_steps));
+  // Epoch length: steps until the earliest completion (the back of the
+  // batch), capped so queued requests get an admission scan at a bounded
+  // cadence.
+  const std::uint64_t k = std::min<std::uint64_t>(
+      rep.active_finish.back() - rep.steps,
+      static_cast<std::uint64_t>(config_.max_epoch_steps));
   const double step_s = cost_.decode_step_seconds(
-      static_cast<int>(rep.active.size()), rep.resident_tokens);
+      static_cast<int>(rep.active_slot.size()), rep.resident_tokens);
   rep.epoch_start = now;
   rep.epoch_prefill = prefill;
   rep.epoch_step_seconds = step_s;
@@ -251,34 +255,31 @@ void ServeFleet::epoch_fire(int r) {
   rep.steps = rep.epoch_end_steps;
   ++epochs_;
   decode_steps_ += k;
-  decode_tokens_ += k * rep.active.size();
-  batch_integral_ +=
-      static_cast<double>(rep.active.size()) * (now - rep.epoch_start);
+  const std::uint64_t batch = rep.active_slot.size();
+  decode_tokens_ += k * batch;
+  batch_integral_ += static_cast<double>(batch) * (now - rep.epoch_start);
   if (obs::enabled()) {
     serve_counter("acme_serve_epochs_total", "Batching epochs executed").inc();
     serve_counter("acme_serve_decode_tokens_total", "Decode tokens generated")
-        .inc(k * rep.active.size());
+        .inc(k * batch);
   }
 
-  // Settle completions. k never exceeds the distance to the earliest finish,
-  // so finishers land exactly at the epoch boundary; the arithmetic form
-  // stays exact if that invariant is ever relaxed.
-  for (std::size_t i = 0; i < rep.active.size();) {
-    const std::uint32_t slot = rep.active[i];
-    Request& req = pool_[slot];
-    if (req.finish_step <= rep.steps) {
-      const double t =
-          rep.epoch_start + rep.epoch_prefill +
-          static_cast<double>(req.finish_step - rep.epoch_base_steps) *
-              rep.epoch_step_seconds;
-      rep.resident_tokens -= static_cast<std::uint64_t>(req.prompt) +
-                             static_cast<std::uint64_t>(req.output);
-      rep.active[i] = rep.active.back();
-      rep.active.pop_back();
-      complete_request(slot, t);
-    } else {
-      ++i;
-    }
+  // Settle completions off the back of the batch. k never exceeds the
+  // distance to the earliest finish, so finishers land exactly at the epoch
+  // boundary; the arithmetic form stays exact if that invariant is ever
+  // relaxed.
+  while (!rep.active_finish.empty() && rep.active_finish.back() <= rep.steps) {
+    const std::uint32_t slot = rep.active_slot.back();
+    const Request& req = pool_[slot];
+    const double t =
+        rep.epoch_start + rep.epoch_prefill +
+        static_cast<double>(rep.active_finish.back() - rep.epoch_base_steps) *
+            rep.epoch_step_seconds;
+    rep.resident_tokens -= static_cast<std::uint64_t>(req.prompt) +
+                           static_cast<std::uint64_t>(req.output);
+    rep.active_slot.pop_back();
+    rep.active_finish.pop_back();
+    complete_request(slot, t);
   }
   plan_epoch(r);
 }
@@ -290,14 +291,9 @@ void ServeFleet::complete_request(std::uint32_t slot, double completion_time) {
   const double e2e = completion_time - req.arrival;
   const double tpot = (completion_time - req.first_token) /
                       static_cast<double>(req.output - 1);
-  ttft_stats_.add(ttft);
-  e2e_stats_.add(e2e);
-  ttft_p50_.add(ttft);
-  ttft_p99_.add(ttft);
-  tpot_p50_.add(tpot);
-  tpot_p99_.add(tpot);
-  e2e_p50_.add(e2e);
-  e2e_p99_.add(e2e);
+  ttft_.add(ttft);
+  tpot_.add(tpot);
+  e2e_.add(e2e);
   if (ttft <= config_.slo_ttft_seconds && tpot <= config_.slo_tpot_seconds)
     ++attained_;
   if (obs::enabled()) {
@@ -342,8 +338,9 @@ void ServeFleet::kill_replica(int index, double rewarm_seconds) {
     rep.epoch = {};
     rep.stepping = false;
   }
-  for (const std::uint32_t slot : rep.active) fail_request(slot);
-  rep.active.clear();
+  for (const std::uint32_t slot : rep.active_slot) fail_request(slot);
+  rep.active_slot.clear();
+  rep.active_finish.clear();
   rep.resident_tokens = 0;
   touch_queue_integral();
   while (rep.ring_count > 0) {
@@ -374,48 +371,24 @@ void ServeFleet::rewarm_fire(int r) {
 
 namespace {
 
-void write_streaming_stats(snap::SnapshotWriter& w,
-                           const common::StreamingStats& stats) {
-  const common::StreamingStats::State s = stats.state();
-  w.write_u64(s.n);
-  w.write_f64(s.mean);
-  w.write_f64(s.m2);
-  w.write_f64(s.min);
-  w.write_f64(s.max);
-  w.write_f64(s.sum);
+// A histogram is written as count, sum and its nonzero bucket span (first
+// index, then the counts): a few hundred buckets instead of 3072.
+void write_histogram(snap::SnapshotWriter& w,
+                     const common::LatencyHistogram& h) {
+  const std::size_t first = std::min(h.first_nonzero(), h.end_nonzero());
+  w.write_u64(h.count());
+  w.write_f64(h.sum());
+  w.write_u64(static_cast<std::uint64_t>(first));
+  w.write_pod_span(h.buckets().data() + first, h.end_nonzero() - first);
 }
 
-void read_streaming_stats(snap::SnapshotReader& r,
-                          common::StreamingStats& stats) {
-  common::StreamingStats::State s;
-  s.n = r.read_u64();
-  s.mean = r.read_f64();
-  s.m2 = r.read_f64();
-  s.min = r.read_f64();
-  s.max = r.read_f64();
-  s.sum = r.read_f64();
-  stats.set_state(s);
-}
-
-void write_p2(snap::SnapshotWriter& w, const mc::P2Quantile& q) {
-  const mc::P2Quantile::State s = q.state();
-  w.write_f64(s.q);
-  w.write_u64(s.count);
-  for (double v : s.heights) w.write_f64(v);
-  for (double v : s.positions) w.write_f64(v);
-  for (double v : s.desired) w.write_f64(v);
-  for (double v : s.increment) w.write_f64(v);
-}
-
-void read_p2(snap::SnapshotReader& r, mc::P2Quantile& q) {
-  mc::P2Quantile::State s;
-  s.q = r.read_f64();
-  s.count = r.read_u64();
-  for (double& v : s.heights) v = r.read_f64();
-  for (double& v : s.positions) v = r.read_f64();
-  for (double& v : s.desired) v = r.read_f64();
-  for (double& v : s.increment) v = r.read_f64();
-  q.set_state(s);
+void read_histogram(snap::SnapshotReader& r, common::LatencyHistogram& h) {
+  const std::uint64_t count = r.read_u64();
+  const double sum = r.read_f64();
+  const std::uint64_t first = r.read_u64();
+  std::vector<std::uint64_t> span;
+  r.read_pod_vec(span);
+  h.set_state(count, sum, static_cast<std::size_t>(first), span);
 }
 
 }  // namespace
@@ -434,7 +407,8 @@ void ServeFleet::save(snap::SnapshotWriter& w) const {
     w.write_bool(rep.stepping);
     w.write_u64(rep.steps);
     w.write_u64(rep.resident_tokens);
-    w.write_pod_vec(rep.active);
+    w.write_pod_vec(rep.active_slot);
+    w.write_pod_vec(rep.active_finish);
     // The ring is written verbatim (head + count), stale tail entries and
     // all: identical memory layout means identical wrap behaviour.
     w.write_pod_vec(rep.ring);
@@ -468,14 +442,9 @@ void ServeFleet::save(snap::SnapshotWriter& w) const {
   w.write_f64(queue_last_t_);
   w.write_u64(queued_now_);
   w.write_f64(last_event_t_);
-  write_streaming_stats(w, ttft_stats_);
-  write_streaming_stats(w, e2e_stats_);
-  write_p2(w, ttft_p50_);
-  write_p2(w, ttft_p99_);
-  write_p2(w, tpot_p50_);
-  write_p2(w, tpot_p99_);
-  write_p2(w, e2e_p50_);
-  write_p2(w, e2e_p99_);
+  write_histogram(w, ttft_);
+  write_histogram(w, tpot_);
+  write_histogram(w, e2e_);
   w.end_section();
 }
 
@@ -501,7 +470,12 @@ void ServeFleet::restore(snap::SnapshotReader& r) {
     rep.stepping = r.read_bool();
     rep.steps = r.read_u64();
     rep.resident_tokens = r.read_u64();
-    r.read_pod_vec(rep.active);
+    r.read_pod_vec(rep.active_slot);
+    r.read_pod_vec(rep.active_finish);
+    ACME_CHECK_MSG(rep.active_slot.size() == rep.active_finish.size() &&
+                       rep.active_slot.size() <=
+                           static_cast<std::size_t>(config_.max_batch),
+                   "serve snapshot batch does not fit max_batch");
     r.read_pod_vec(rep.ring);
     ACME_CHECK_MSG(rep.ring.size() ==
                        static_cast<std::size_t>(config_.queue_cap),
@@ -516,6 +490,14 @@ void ServeFleet::restore(snap::SnapshotReader& r) {
     rep.epoch_end_time = r.read_f64();
     rep.epoch_base_steps = r.read_u64();
     rep.epoch_end_steps = r.read_u64();
+    // The epoch pops finishers off the back, so the batch must be sorted
+    // descending by finish step, and nobody in it may have finished yet.
+    ACME_CHECK_MSG(std::is_sorted(rep.active_finish.begin(),
+                                  rep.active_finish.end(), std::greater<>()),
+                   "serve snapshot batch is not in descending finish order");
+    ACME_CHECK_MSG(rep.active_finish.empty() ||
+                       rep.active_finish.back() > rep.steps,
+                   "serve snapshot batch holds a request past its finish step");
     if (rep.up) ++up_;
   }
   r.read_pod_vec(pool_);
@@ -537,14 +519,9 @@ void ServeFleet::restore(snap::SnapshotReader& r) {
   queue_last_t_ = r.read_f64();
   queued_now_ = r.read_u64();
   last_event_t_ = r.read_f64();
-  read_streaming_stats(r, ttft_stats_);
-  read_streaming_stats(r, e2e_stats_);
-  read_p2(r, ttft_p50_);
-  read_p2(r, ttft_p99_);
-  read_p2(r, tpot_p50_);
-  read_p2(r, tpot_p99_);
-  read_p2(r, e2e_p50_);
-  read_p2(r, e2e_p99_);
+  read_histogram(r, ttft_);
+  read_histogram(r, tpot_);
+  read_histogram(r, e2e_);
   r.leave_section();
   // Rebind every pending serve event into the restored spine.
   if (arrival_event_.valid())
@@ -574,14 +551,14 @@ FleetReport ServeFleet::report() const {
   rep.replica_kills = kills_;
   rep.rewarms = rewarms_;
   rep.horizon_seconds = config_.horizon_seconds;
-  rep.ttft_p50 = ttft_p50_.value();
-  rep.ttft_p99 = ttft_p99_.value();
-  rep.tpot_p50 = tpot_p50_.value();
-  rep.tpot_p99 = tpot_p99_.value();
-  rep.e2e_p50 = e2e_p50_.value();
-  rep.e2e_p99 = e2e_p99_.value();
-  rep.ttft_mean = ttft_stats_.mean();
-  rep.e2e_mean = e2e_stats_.mean();
+  rep.ttft_p50 = ttft_.quantile(0.5);
+  rep.ttft_p99 = ttft_.quantile(0.99);
+  rep.tpot_p50 = tpot_.quantile(0.5);
+  rep.tpot_p99 = tpot_.quantile(0.99);
+  rep.e2e_p50 = e2e_.quantile(0.5);
+  rep.e2e_p99 = e2e_.quantile(0.99);
+  rep.ttft_mean = ttft_.mean();
+  rep.e2e_mean = e2e_.mean();
   // Time-weighted means over the span the fleet was actually live (the drain
   // can outrun the horizon; in a co-located world the engine clock keeps
   // going long after serving stopped).

@@ -16,16 +16,20 @@
 // engine event covers min(steps-to-next-completion, max_epoch_steps) steps;
 // completions inside the epoch get exact timestamps by arithmetic, and the
 // step cap bounds how long a queued request waits for the next admission
-// scan. Requests live in a pre-sized pool with a free list, queues are fixed
-// rings, and callbacks capture at most {fleet pointer, replica index} — the
-// steady-state request path performs zero heap allocations (pinned by
-// bench_serve_spine's operator-new hook).
+// scan. Each replica keeps its batch sorted by finish step (latest first),
+// so an epoch pops its finishers off the back and reads the next completion
+// from the back: it costs its completions, not its batch. Requests live in
+// a pre-sized pool with a free list, queues are fixed rings, and callbacks
+// capture at most {fleet pointer, replica index} — the steady-state request
+// path performs zero heap allocations (pinned by bench_serve_spine's
+// operator-new hook).
 //
 // Determinism: one engine thread, all randomness from the two forked streams
 // inside ArrivalProcess, replicas selected by deterministic least-loaded
-// scan (lowest index wins ties), and latency quantiles accumulated in event
-// order through P² sketches. A fleet run is a pure function of
-// (config, seed); FleetReport::digest() pins that for test_determinism.
+// scan (lowest index wins ties), and latency quantiles read from log-linear
+// histograms (common::LatencyHistogram, within 2^-7 relative of the exact
+// order statistic). A fleet run is a pure function of (config, seed);
+// FleetReport::digest() pins that for test_determinism.
 #pragma once
 
 #include <cstdint>
@@ -35,7 +39,6 @@
 #include "comm/collective.h"
 #include "comm/topology.h"
 #include "common/stats.h"
-#include "mc/aggregate.h"
 #include "parallel/model_math.h"
 #include "serve/model.h"
 #include "serve/traffic.h"
@@ -81,7 +84,8 @@ struct FleetReport {
   int rewarms = 0;
   double horizon_seconds = 0;
 
-  // Latency quantiles from the P² sketches (seconds).
+  // Latency quantiles from the latency histograms (seconds; within 2^-7
+  // relative of the exact order statistic).
   double ttft_p50 = 0, ttft_p99 = 0;
   double tpot_p50 = 0, tpot_p99 = 0;
   double e2e_p50 = 0, e2e_p99 = 0;
@@ -136,6 +140,13 @@ class ServeFleet {
   bool replica_up(int index) const {
     return reps_[static_cast<std::size_t>(index)].up;
   }
+  // Requests in replica `index`'s batch and in its queue right now.
+  std::size_t replica_active(int index) const {
+    return reps_[static_cast<std::size_t>(index)].active_slot.size();
+  }
+  std::size_t replica_queued(int index) const {
+    return reps_[static_cast<std::size_t>(index)].ring_count;
+  }
   const ServeConfig& config() const { return config_; }
   const ReplicaCostModel& cost_model() const { return cost_; }
 
@@ -157,8 +168,7 @@ class ServeFleet {
     double first_token = 0;
     std::int32_t prompt = 0;
     std::int32_t output = 0;
-    std::uint64_t finish_step = 0;  // replica step count at completion
-    std::uint64_t span_id = 0;      // obs async-span key
+    std::uint64_t span_id = 0;  // obs async-span key
   };
 
   struct Replica {
@@ -166,7 +176,12 @@ class ServeFleet {
     bool stepping = false;  // an epoch event is pending
     std::uint64_t steps = 0;         // cumulative decode steps
     std::uint64_t resident_tokens = 0;  // reserved KV tokens
-    std::vector<std::uint32_t> active;  // request slots, reserve(max_batch)
+    // The batch as parallel arrays, sorted descending by finish step (the
+    // replica step count at which the request completes); among equal
+    // finish steps the older request sits nearer the back. Both reserve
+    // max_batch.
+    std::vector<std::uint32_t> active_slot;
+    std::vector<std::uint64_t> active_finish;
     // Fixed-ring FIFO of waiting request slots.
     std::vector<std::uint32_t> ring;
     std::size_t ring_head = 0;
@@ -217,9 +232,7 @@ class ServeFleet {
   double queue_last_t_ = 0;
   std::uint64_t queued_now_ = 0;
   double last_event_t_ = 0;  // latest engine time a serve event fired
-  common::StreamingStats ttft_stats_, e2e_stats_;
-  mc::P2Quantile ttft_p50_, ttft_p99_, tpot_p50_, tpot_p99_, e2e_p50_,
-      e2e_p99_;
+  common::LatencyHistogram ttft_, tpot_, e2e_;
 };
 
 }  // namespace acme::serve

@@ -32,6 +32,14 @@ ArrivalProcess::ArrivalProcess(TrafficProfile profile, std::uint64_t seed)
   ACME_CHECK_MSG(profile_.diurnal_period_seconds > 0, "diurnal period must be > 0");
   norm_ = profile_.rate_norm();
   peak_ = profile_.peak_rps();
+  // Same operation order as rate_at with sin() at -1 and +1. Rounding is
+  // monotone on these non-negative operands, so lo_ <= rate_at(t) <= hi_
+  // holds exactly in each MMPP state.
+  const double base = profile_.mean_rps * norm_;
+  lo_[0] = base * (1.0 - profile_.diurnal_amplitude);
+  hi_[0] = base * (1.0 + profile_.diurnal_amplitude);
+  lo_[1] = lo_[0] * profile_.burst_multiplier;
+  hi_[1] = hi_[0] * profile_.burst_multiplier;
 }
 
 void ArrivalProcess::advance_state(double t) {
@@ -64,7 +72,15 @@ double ArrivalProcess::next_interarrival(double now) {
   double t = now;
   for (;;) {
     t += rng_.exponential(peak_);
-    if (rng_.uniform() * peak_ <= rate_at(t)) return t - now;
+    // Thinning with a squeeze: the rate envelope of the current MMPP state
+    // settles most candidates without evaluating sin(). The thinning and
+    // MMPP streams are separate, so the decisions and both streams' draws
+    // are exactly those of the plain test u <= rate_at(t).
+    const double u = rng_.uniform() * peak_;
+    advance_state(t);
+    if (u <= lo_[burst_]) return t - now;
+    if (u > hi_[burst_]) continue;
+    if (u <= rate_at(t)) return t - now;
   }
 }
 

@@ -6,7 +6,8 @@
 // with exponential dwell times. The base rate is normalized so the long-run
 // mean equals `mean_rps` regardless of burstiness. Arrivals are sampled by
 // thinning against the peak envelope, which keeps the process exact for any
-// rate shape while costing O(1) amortized draws per request.
+// rate shape while costing O(1) amortized draws per request; a squeeze on
+// the current state's rate bounds decides most candidates without sin().
 //
 // Determinism: arrivals and request shapes draw from one forked Rng stream
 // ("serve-arrivals") and the MMPP state transitions from another
@@ -69,9 +70,10 @@ class ArrivalProcess {
   RequestSample sample_request();
 
   // Snapshot support (acme::snap): both rng streams plus the hidden MMPP
-  // trajectory. norm_/peak_ are pure functions of the profile and are
-  // recomputed by the constructor, so a reconstructed process with this
-  // state restored continues the arrival sequence bit-identically.
+  // trajectory. norm_, peak_ and the rate bounds are pure functions of the
+  // profile and are recomputed by the constructor, so a reconstructed
+  // process with this state restored continues the arrival sequence
+  // bit-identically.
   struct State {
     common::RngState rng;
     common::RngState state_rng;
@@ -98,6 +100,9 @@ class ArrivalProcess {
   double state_until_ = 0;
   double norm_ = 1.0;
   double peak_ = 0;
+  // Bounds of rate_at over a diurnal period, indexed by the burst state.
+  double lo_[2] = {0, 0};
+  double hi_[2] = {0, 0};
 };
 
 }  // namespace acme::serve

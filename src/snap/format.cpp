@@ -89,7 +89,8 @@ std::uint32_t crc32(const void* data, std::size_t size) {
   return c ^ 0xFFFFFFFFu;
 }
 
-SnapshotWriter::SnapshotWriter() {
+SnapshotWriter::SnapshotWriter(std::string buffer) : out_(std::move(buffer)) {
+  out_.clear();
   out_.append(kMagic, sizeof(kMagic));
   const std::uint32_t version = kFormatVersion;
   out_.append(reinterpret_cast<const char*>(&version), sizeof(version));

@@ -22,8 +22,8 @@
 // only acme_common, and the stateful layers (sim, cluster, sched, serve,
 // world) link acme_snap and implement save(SnapshotWriter&) /
 // restore(SnapshotReader&) member functions. Leaf classes that common
-// itself owns (Rng, StreamingStats, P²) expose POD state accessors instead
-// of including this header, which keeps the dependency graph acyclic.
+// itself owns (Rng, LatencyHistogram) expose state accessors instead of
+// including this header, which keeps the dependency graph acyclic.
 #pragma once
 
 #include <cstdint>
@@ -39,11 +39,15 @@
 namespace acme::snap {
 
 inline constexpr char kMagic[8] = {'A', 'C', 'M', 'E', 'S', 'N', 'A', 'P'};
+// Version 6: the serve fleet writes each replica's batch as finish-sorted
+// slot and finish-step arrays and its latencies as three log-linear
+// histograms (count, sum, nonzero bucket span) instead of six P² sketches
+// and two moment accumulators.
 // Version 5: the embedded scenario JSON has no serve-shape keys (version 4
 // carried each replica's GPU count, model, traffic shape and SLO targets).
 // Version 4 made a running job's placement its first node and gave each
 // cluster node its gang link.
-inline constexpr std::uint32_t kFormatVersion = 5;
+inline constexpr std::uint32_t kFormatVersion = 6;
 
 // CRC-32C (Castagnoli polynomial, reflected). Uses the SSE4.2 CRC32
 // instruction when the CPU has it (snapshots CRC megabytes per section);
@@ -64,7 +68,10 @@ enum class Tag : std::uint8_t {
 
 class SnapshotWriter {
  public:
-  SnapshotWriter();
+  // Writes into `buffer` after clearing it, keeping its capacity: a caller
+  // that saves repeatedly (and takes the bytes back from finish()) reuses
+  // one allocation instead of growing a fresh multi-MB buffer per save.
+  explicit SnapshotWriter(std::string buffer = {});
 
   // Sections must be strictly sequential (no nesting): begin, write values,
   // end. Section names are free-form but matched exactly by the reader.
@@ -101,8 +108,9 @@ class SnapshotWriter {
     write_pod_span(v.data(), v.size());
   }
 
-  // Seals the snapshot and returns the full byte string (header + sections).
-  // The writer is unusable afterwards.
+  // Seals the snapshot and returns the full byte string (header + sections),
+  // in the adopted buffer if one was given. The writer is unusable
+  // afterwards.
   std::string finish();
   // finish() + write the bytes to `path`; throws CheckError on I/O failure.
   void write_file(const std::string& path);

@@ -14,7 +14,6 @@
 #include "common/inline_fn.h"
 #include "common/rng.h"
 #include "common/stats.h"
-#include "mc/aggregate.h"
 #include "sim/engine.h"
 
 namespace acme {
@@ -274,8 +273,8 @@ TEST(EngineReserve, DoesNotChangeBehavior) {
 
 // --- Streaming-accumulator state round-trips (snapshot support) ---
 //
-// A sketch whose state is exported mid-stream and re-imported into a fresh
-// instance must finish a long tail of additions bit-identically to the
+// An accumulator whose state is exported mid-stream and re-imported into a
+// fresh instance must finish a long tail of additions bit-identically to the
 // uninterrupted one; otherwise a restored world's latency quantiles drift.
 
 TEST(SnapshotState, WelfordRoundTripContinuesBitIdentically) {
@@ -296,24 +295,34 @@ TEST(SnapshotState, WelfordRoundTripContinuesBitIdentically) {
   EXPECT_EQ(straight.sum(), resumed.sum());
 }
 
-TEST(SnapshotState, P2QuantileRoundTripContinuesBitIdentically) {
+TEST(SnapshotState, LatencyHistogramRoundTripContinuesBitIdentically) {
   common::Rng rng(78);
-  mc::P2Quantile straight(0.99);
+  common::LatencyHistogram straight;
   for (int i = 0; i < 400; ++i) straight.add(rng.exponential(1.0));
-  mc::P2Quantile resumed(0.99);
-  resumed.set_state(straight.state());
+  const std::size_t first = straight.first_nonzero();
+  const std::vector<std::uint64_t> span(
+      straight.buckets().begin() + static_cast<std::ptrdiff_t>(first),
+      straight.buckets().begin() +
+          static_cast<std::ptrdiff_t>(straight.end_nonzero()));
+  common::LatencyHistogram resumed;
+  resumed.set_state(straight.count(), straight.sum(), first, span);
   common::Rng tail_a = rng;
   common::Rng tail_b = rng;
   for (int i = 0; i < 400; ++i) straight.add(tail_a.exponential(1.0));
   for (int i = 0; i < 400; ++i) resumed.add(tail_b.exponential(1.0));
-  EXPECT_EQ(straight.value(), resumed.value());  // bitwise
+  EXPECT_EQ(straight.buckets(), resumed.buckets());
+  EXPECT_EQ(straight.sum(), resumed.sum());  // bitwise
+  EXPECT_EQ(straight.quantile(0.99), resumed.quantile(0.99));
 }
 
-TEST(SnapshotState, P2QuantileRejectsMismatchedQuantile) {
-  mc::P2Quantile p50(0.5);
-  p50.add(1.0);
-  mc::P2Quantile p99(0.99);
-  EXPECT_THROW(p99.set_state(p50.state()), common::CheckError);
+TEST(SnapshotState, LatencyHistogramRejectsInconsistentState) {
+  common::LatencyHistogram h;
+  // Counts that do not sum to the count, and a span past the last bucket.
+  EXPECT_THROW(h.set_state(3, 1.0, 10, {1, 1}), common::CheckError);
+  EXPECT_THROW(h.set_state(2, 1.0, common::LatencyHistogram::kBuckets - 1,
+                           {1, 1}),
+               common::CheckError);
+  EXPECT_THROW(h.set_state(1, -1.0, 10, {1}), common::CheckError);
 }
 
 TEST(EngineQueue, OutOfOrderAndTiedTimesFireInSeqOrder) {

@@ -19,46 +19,21 @@
 namespace acme::mc {
 namespace {
 
-// ------------------------------------------------------------- P2 / metrics
+// ------------------------------------------------------------- metrics
 
-TEST(P2Quantile, ExactForSmallCounts) {
-  P2Quantile q(0.5);
-  q.add(3);
-  EXPECT_DOUBLE_EQ(q.value(), 3.0);
-  q.add(1);
-  q.add(2);
-  EXPECT_DOUBLE_EQ(q.value(), 2.0);  // exact median of {1,2,3}
-}
-
-TEST(P2Quantile, TracksUniformQuantiles) {
-  common::Rng rng(77);
-  P2Quantile p50(0.5), p90(0.9), p99(0.99);
-  for (int i = 0; i < 50000; ++i) {
-    const double x = rng.uniform();
-    p50.add(x);
-    p90.add(x);
-    p99.add(x);
-  }
-  EXPECT_NEAR(p50.value(), 0.5, 0.02);
-  EXPECT_NEAR(p90.value(), 0.9, 0.02);
-  EXPECT_NEAR(p99.value(), 0.99, 0.01);
-}
-
-TEST(P2Quantile, TracksLognormalMedian) {
-  common::Rng rng(78);
-  P2Quantile p50(0.5);
-  for (int i = 0; i < 50000; ++i) p50.add(rng.lognormal(1.0, 0.8));
-  EXPECT_NEAR(p50.value(), std::exp(1.0), 0.1 * std::exp(1.0));
-}
-
-TEST(P2Quantile, DeterministicForSameSequence) {
-  P2Quantile a(0.9), b(0.9);
-  common::Rng r1(5), r2(5);
-  for (int i = 0; i < 1000; ++i) {
-    a.add(r1.uniform());
-    b.add(r2.uniform());
-  }
-  EXPECT_DOUBLE_EQ(a.value(), b.value());
+TEST(MetricAggregator, QuantilesAreExactOrderStatistics) {
+  MetricAggregator agg;
+  EXPECT_DOUBLE_EQ(agg.p50(), 0.0);  // no values yet
+  // 101 values 0..100 in scrambled order: linear interpolation between
+  // order statistics puts p50/p90/p99 exactly on 50/90/99.
+  for (int i = 0; i <= 100; ++i) agg.add(static_cast<double>((i * 37) % 101));
+  EXPECT_DOUBLE_EQ(agg.p50(), 50.0);
+  EXPECT_DOUBLE_EQ(agg.p90(), 90.0);
+  EXPECT_DOUBLE_EQ(agg.p99(), 99.0);
+  MetricAggregator small;
+  for (double v : {3.0, 1.0, 2.0, 10.0}) small.add(v);
+  EXPECT_DOUBLE_EQ(small.p50(), 2.5);
+  EXPECT_NEAR(small.p99(), 3.0 + 0.97 * 7.0, 1e-12);  // between 3 and 10
 }
 
 TEST(MetricAggregator, MeanAndCi) {

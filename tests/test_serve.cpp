@@ -4,9 +4,14 @@
 // (no traffic, saturation, replica killed mid-batch).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
+#include <limits>
+#include <string>
 
 #include "core/acme.h"
+#include "snap/format.h"
 
 namespace acme {
 namespace {
@@ -100,6 +105,108 @@ TEST(Traffic, RequestShapesRespectClamps) {
     EXPECT_GE(s.output_tokens, 2);  // first token is prefill's; >= 1 decode
     EXPECT_LE(s.prompt_tokens, profile.max_tokens);
     EXPECT_LE(s.output_tokens, profile.max_tokens);
+  }
+}
+
+// ArrivalProcess as it was before the thinning squeeze: every candidate
+// evaluates the full rate (and its sin()). The fleet's request stream must
+// match it bit for bit.
+class PlainThinningArrivals {
+ public:
+  PlainThinningArrivals(serve::TrafficProfile p, std::uint64_t seed)
+      : p_(p),
+        rng_(common::Rng(seed).fork("serve-arrivals")),
+        state_rng_(common::Rng(seed).fork("serve-mmpp")),
+        norm_(p.rate_norm()),
+        peak_(p.peak_rps()) {}
+
+  double next_interarrival(double now) {
+    if (p_.mean_rps <= 0 || peak_ <= 0)
+      return std::numeric_limits<double>::infinity();
+    double t = now;
+    for (;;) {
+      t += rng_.exponential(peak_);
+      if (rng_.uniform() * peak_ <= rate_at(t)) return t - now;
+    }
+  }
+
+  serve::RequestSample sample_request() {
+    const auto clamp_tokens = [&](double mean, std::int32_t lo) {
+      const double drawn = rng_.exponential(1.0 / std::max(mean, 1.0));
+      const double v = std::min(drawn, static_cast<double>(p_.max_tokens));
+      return std::max(lo, static_cast<std::int32_t>(v));
+    };
+    serve::RequestSample s;
+    s.prompt_tokens = clamp_tokens(p_.prompt_tokens_mean, 1);
+    s.output_tokens = clamp_tokens(p_.output_tokens_mean, 2);
+    return s;
+  }
+
+ private:
+  double rate_at(double t) {
+    if (p_.burst_fraction > 0 && p_.burst_multiplier > 1) {
+      const double burst_dwell = std::max(p_.burst_dwell_seconds, 1e-9);
+      const double base_dwell =
+          burst_dwell * (1.0 - p_.burst_fraction) / p_.burst_fraction;
+      while (state_until_ <= t) {
+        burst_ = !burst_;
+        state_until_ += state_rng_.exponential(
+            1.0 / (burst_ ? burst_dwell : base_dwell));
+      }
+    }
+    const double diurnal =
+        1.0 + p_.diurnal_amplitude *
+                  std::sin(2.0 * M_PI * t / p_.diurnal_period_seconds);
+    double rate = p_.mean_rps * norm_ * diurnal;
+    if (burst_) rate *= p_.burst_multiplier;
+    return rate;
+  }
+
+  serve::TrafficProfile p_;
+  common::Rng rng_, state_rng_;
+  bool burst_ = false;
+  double state_until_ = 0;
+  double norm_, peak_;
+};
+
+TEST(Traffic, SqueezedThinningMatchesPlainThinningBitForBit) {
+  struct Case {
+    const char* name;
+    void (*edit)(serve::TrafficProfile&);
+  };
+  const Case cases[] = {
+      {"default", [](serve::TrafficProfile&) {}},
+      {"amplitude 0", [](serve::TrafficProfile& p) { p.diurnal_amplitude = 0; }},
+      {"amplitude 1", [](serve::TrafficProfile& p) { p.diurnal_amplitude = 1; }},
+      {"multiplier 1", [](serve::TrafficProfile& p) { p.burst_multiplier = 1; }},
+      {"fraction 0", [](serve::TrafficProfile& p) { p.burst_fraction = 0; }},
+      // Many diurnal periods, so candidates land on every part of the swing.
+      {"period 60 s",
+       [](serve::TrafficProfile& p) { p.diurnal_period_seconds = 60; }},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.name);
+    serve::TrafficProfile profile;
+    c.edit(profile);
+    serve::ArrivalProcess squeezed(profile, 2024);
+    PlainThinningArrivals plain(profile, 2024);
+    double now = 0;
+    int mismatches = 0;
+    for (int i = 0; i < 100000 && mismatches == 0; ++i) {
+      const double a = squeezed.next_interarrival(now);
+      const double b = plain.next_interarrival(now);
+      const serve::RequestSample sa = squeezed.sample_request();
+      const serve::RequestSample sb = plain.sample_request();
+      if (a != b || sa.prompt_tokens != sb.prompt_tokens ||
+          sa.output_tokens != sb.output_tokens) {
+        ++mismatches;
+        ADD_FAILURE() << "arrival " << i << ": interarrival " << a << " vs "
+                      << b << ", prompt " << sa.prompt_tokens << " vs "
+                      << sb.prompt_tokens << ", output " << sa.output_tokens
+                      << " vs " << sb.output_tokens;
+      }
+      now += a;
+    }
   }
 }
 
@@ -217,6 +324,32 @@ TEST(ServeFleet, KillFailsInFlightAndRewarmRestores) {
   EXPECT_GT(r.completed, 0u);  // the surviving replica kept serving
 }
 
+TEST(ServeFleet, KillMidEpochFailsExactlyItsActiveAndQueuedRequests) {
+  serve::ServeConfig cfg = small_config();
+  cfg.traffic.mean_rps = 60.0;  // batches and queues both occupied
+  cfg.max_batch = 8;
+  sim::Engine engine;
+  serve::ServeFleet fleet(engine, cfg, 77);
+  fleet.start();
+  std::size_t doomed = 0;
+  engine.schedule_at(90.0, [&] {
+    ASSERT_GT(fleet.replica_active(1), 0u);  // an epoch is in flight
+    ASSERT_GT(fleet.replica_queued(1), 0u);
+    doomed = fleet.replica_active(1) + fleet.replica_queued(1);
+    const std::uint64_t failed_before = fleet.report().failed;
+    fleet.kill_replica(1, 30.0);
+    EXPECT_EQ(fleet.report().failed - failed_before, doomed);
+    EXPECT_EQ(fleet.replica_active(1), 0u);
+    EXPECT_EQ(fleet.replica_queued(1), 0u);
+  });
+  engine.run();
+  const serve::FleetReport r = fleet.report();
+  EXPECT_GT(doomed, 0u);
+  EXPECT_EQ(r.failed, doomed);
+  EXPECT_EQ(r.offered, r.completed + r.rejected + r.failed);
+  EXPECT_EQ(r.rewarms, 1);
+}
+
 TEST(ServeFleet, OutageRejectsAllTrafficUntilRewarm) {
   serve::ServeConfig cfg = small_config();
   cfg.replicas = 1;
@@ -236,6 +369,85 @@ TEST(ServeFleet, OutageRejectsAllTrafficUntilRewarm) {
   EXPECT_EQ(r.rewarms, 1);
   EXPECT_GT(r.rejected, 0u);  // no up replica -> every later arrival bounces
   EXPECT_EQ(r.offered, r.completed + r.rejected + r.failed);
+}
+
+// Offset of replica `rep`'s finish-step array inside a serve.fleet section:
+// the tagged pod array of `n` u64 that directly follows the tagged pod
+// array of `n` u32 slots. Returns npos when no replica batch matches.
+std::size_t finish_array_at(const std::string& bytes, std::uint64_t n) {
+  const auto u64_at = [&](std::size_t at) {
+    std::uint64_t v = 0;
+    std::memcpy(&v, bytes.data() + at, sizeof(v));
+    return v;
+  };
+  const std::size_t slots_len = 17 + 4 * n;
+  for (std::size_t at = bytes.find("serve.fleet");
+       at + slots_len + 17 + 8 * n <= bytes.size(); ++at) {
+    if (bytes[at] == 7 && u64_at(at + 1) == 4 && u64_at(at + 9) == n &&
+        bytes[at + slots_len] == 7 && u64_at(at + slots_len + 1) == 8 &&
+        u64_at(at + slots_len + 9) == n)
+      return at + slots_len + 17;
+  }
+  return std::string::npos;
+}
+
+// Re-seals the serve.fleet section's CRC after a hand edit.
+void reseal_serve_section(std::string& bytes) {
+  const std::string name = "serve.fleet";
+  const std::size_t len_at = bytes.find(name) + name.size();
+  std::uint64_t payload_len = 0;
+  std::memcpy(&payload_len, bytes.data() + len_at, sizeof(payload_len));
+  const std::size_t crc_at = len_at + sizeof(payload_len);
+  const std::size_t payload = crc_at + sizeof(std::uint32_t);
+  const std::uint32_t crc = snap::crc32(bytes.data() + payload, payload_len);
+  std::memcpy(bytes.data() + crc_at, &crc, sizeof(crc));
+}
+
+// A restore trusts a batch only in descending finish order with nobody past
+// its finish step: the epoch pops finishers off the back.
+TEST(ServeFleet, RestoreRejectsBatchesOutOfFinishOrder) {
+  const serve::ServeConfig cfg = small_config();
+  sim::Engine engine;
+  serve::ServeFleet fleet(engine, cfg, 61);
+  fleet.start();
+  engine.run_until(150.0);
+  const std::uint64_t n = fleet.replica_active(0);
+  ASSERT_GE(n, 2u);
+  snap::SnapshotWriter w;
+  engine.save(w);
+  fleet.save(w);
+  const std::string bytes = w.finish();
+
+  const auto resume = [&](std::string snapshot) {
+    snap::SnapshotReader r(std::move(snapshot));
+    sim::Engine e;
+    serve::ServeFleet f(e, cfg, 61);
+    e.restore(r);
+    f.restore(r);
+    e.run();
+    return f.report().digest();
+  };
+  engine.run();
+  EXPECT_EQ(resume(bytes), fleet.report().digest());
+
+  const std::size_t at = finish_array_at(bytes, n);
+  ASSERT_NE(at, std::string::npos);
+  std::uint64_t front = 0, back = 0;
+  std::memcpy(&front, bytes.data() + at, sizeof(front));
+  std::memcpy(&back, bytes.data() + at + 8 * (n - 1), sizeof(back));
+  ASSERT_GT(front, back);  // the real save is descending
+
+  std::string swapped = bytes;  // latest finisher moved to the back
+  std::memcpy(swapped.data() + at, &back, sizeof(back));
+  std::memcpy(swapped.data() + at + 8 * (n - 1), &front, sizeof(front));
+  reseal_serve_section(swapped);
+  EXPECT_THROW(resume(swapped), common::CheckError);
+
+  std::string finished = bytes;  // still sorted, but already past its finish
+  const std::uint64_t zero = 0;
+  std::memcpy(finished.data() + at + 8 * (n - 1), &zero, sizeof(zero));
+  reseal_serve_section(finished);
+  EXPECT_THROW(resume(finished), common::CheckError);
 }
 
 TEST(ServeFleet, DigestIsSeedDeterministic) {

@@ -83,6 +83,22 @@ TEST(SnapFormat, PrimitivesRoundTrip) {
 
 // An empty vector's data() may be null; reading zero bytes into it must not
 // hand memcpy a null pointer (UBSan nonnull-attribute) and must round-trip.
+TEST(SnapFormat, WriterReusesAnAdoptedBuffer) {
+  // A buffer left over from an earlier save (stale bytes, spare capacity)
+  // must come back holding exactly the bytes a fresh writer writes, in the
+  // same allocation.
+  std::string buffer(1 << 16, 'x');
+  const char* storage = buffer.data();
+  SnapshotWriter w(std::move(buffer));
+  w.begin_section("alpha");
+  w.write_u32(7);
+  w.write_f64(2.5);
+  w.end_section();
+  const std::string bytes = w.finish();
+  EXPECT_EQ(bytes, one_section_bytes());
+  EXPECT_EQ(bytes.data(), storage);
+}
+
 TEST(SnapFormat, EmptyPodArrayRoundTrips) {
   SnapshotWriter w;
   w.begin_section("empty");
@@ -114,10 +130,11 @@ TEST(SnapFormat, RejectsVersionSkew) {
   std::string bytes = one_section_bytes();
   bytes[8] = static_cast<char>(bytes[8] + 1);  // version u32, little end
   EXPECT_THROW(SnapshotReader{std::move(bytes)}, CheckError);
-  // Version 3 stored slice lists and version 4 embedded the serve-shape
-  // scenario keys; neither can be read as version 5.
-  ASSERT_EQ(acme::snap::kFormatVersion, 5u);
-  for (const char old : {3, 4}) {
+  // Version 3 stored slice lists, version 4 embedded the serve-shape
+  // scenario keys and version 5 carried the serve fleet's P² sketches and
+  // unsorted batches; none can be read as version 6.
+  ASSERT_EQ(acme::snap::kFormatVersion, 6u);
+  for (const char old : {3, 4, 5}) {
     std::string stale = one_section_bytes();
     stale[8] = old;
     EXPECT_THROW(SnapshotReader{std::move(stale)}, CheckError);

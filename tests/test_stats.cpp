@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
+#include <vector>
 
+#include "common/check.h"
 #include "common/rng.h"
 
 namespace acme::common {
@@ -213,6 +217,81 @@ TEST(Histogram, WeightedMass) {
   h.add(0.25, 3.0);
   h.add(0.75, 1.0);
   EXPECT_DOUBLE_EQ(h.fraction(0), 0.75);
+}
+
+// The order statistic of rank floor(q * (n - 1)) — what the histogram's
+// quantile approximates.
+double order_statistic(std::vector<double> v, double q) {
+  std::sort(v.begin(), v.end());
+  return v[static_cast<std::size_t>(q * static_cast<double>(v.size() - 1))];
+}
+
+TEST(LatencyHistogram, QuantilesWithinBoundOfExactOrderStatistic) {
+  Rng rng(2718);
+  std::vector<double> lognormal, exponential;
+  LatencyHistogram hl, he;
+  for (int i = 0; i < 100000; ++i) {
+    lognormal.push_back(rng.lognormal(0.0, 1.5));
+    exponential.push_back(rng.exponential(4.0));
+    hl.add(lognormal.back());
+    he.add(exponential.back());
+  }
+  for (const double q : {0.01, 0.5, 0.99}) {
+    SCOPED_TRACE(q);
+    const double xl = order_statistic(lognormal, q);
+    const double xe = order_statistic(exponential, q);
+    EXPECT_LE(std::abs(hl.quantile(q) - xl), 0x1p-7 * xl);
+    EXPECT_LE(std::abs(he.quantile(q) - xe), 0x1p-7 * xe);
+  }
+  EXPECT_EQ(hl.count(), 100000u);
+  double sum = 0;
+  for (double x : lognormal) sum += x;
+  EXPECT_EQ(hl.sum(), sum);  // accumulated in add order
+  EXPECT_EQ(hl.mean(), sum / 100000.0);
+}
+
+TEST(LatencyHistogram, BucketsFollowTheBinaryExponent) {
+  // 64 sub-buckets per octave: 1.0 and 2.0 are 64 buckets apart, and the
+  // top of one octave sits right below the next.
+  EXPECT_EQ(LatencyHistogram::bucket(2.0) - LatencyHistogram::bucket(1.0), 64u);
+  EXPECT_EQ(LatencyHistogram::bucket(std::nextafter(2.0, 0.0)),
+            LatencyHistogram::bucket(2.0) - 1);
+  EXPECT_EQ(LatencyHistogram::bucket(1.0 + 1.0 / 64),
+            LatencyHistogram::bucket(1.0) + 1);
+  EXPECT_EQ(LatencyHistogram::bucket(0x1p-24), 0u);
+  EXPECT_EQ(LatencyHistogram::bucket(std::nextafter(0x1p24, 0.0)),
+            LatencyHistogram::kBuckets - 1);
+  EXPECT_DOUBLE_EQ(LatencyHistogram::bucket_midpoint(
+                       LatencyHistogram::bucket(1.0)),
+                   1.0 + 1.0 / 128);
+}
+
+TEST(LatencyHistogram, EdgeValuesLandInEdgeBuckets) {
+  const double subnormal = std::numeric_limits<double>::denorm_min();
+  EXPECT_EQ(LatencyHistogram::bucket(0.0), 0u);
+  EXPECT_EQ(LatencyHistogram::bucket(-0.0), 0u);
+  EXPECT_EQ(LatencyHistogram::bucket(subnormal), 0u);
+  EXPECT_EQ(LatencyHistogram::bucket(0x1p30), LatencyHistogram::kBuckets - 1);
+  LatencyHistogram h;
+  h.add(0.0);
+  h.add(subnormal);
+  h.add(0x1p30);
+  EXPECT_EQ(h.buckets().front(), 2u);
+  EXPECT_EQ(h.buckets().back(), 1u);
+  EXPECT_EQ(h.count(), 3u);
+  EXPECT_LT(h.quantile(0.0), 0x1p-23);
+  EXPECT_GE(h.quantile(1.0), 0x1p23);
+  EXPECT_LT(h.quantile(1.0), 0x1p24);
+}
+
+TEST(LatencyHistogram, RejectsNegativeAndNonFiniteSamples) {
+  LatencyHistogram h;
+  EXPECT_THROW(h.add(std::numeric_limits<double>::quiet_NaN()), CheckError);
+  EXPECT_THROW(h.add(std::numeric_limits<double>::infinity()), CheckError);
+  EXPECT_THROW(h.add(-1.0), CheckError);
+  EXPECT_EQ(h.count(), 0u);
+  EXPECT_EQ(h.quantile(0.5), 0.0);  // empty
+  EXPECT_EQ(h.mean(), 0.0);
 }
 
 TEST(SpaceHelpers, LogSpaceEndpointsAndGrowth) {
